@@ -19,14 +19,11 @@ Run from a checkout (the package must be importable, e.g.
 The ``solver`` entries time one full solve per variant; the ``sweep``
 entries time a θ ladder solved cold-per-point versus warm-chained
 versus presolved-and-warm-chained; the ``presolve`` entries time a
-single solve with and without problem reduction; the ``batch-shm``
-entries compare the pickle-per-task process pool against the
-shared-memory publication path; the ``serve`` entry measures the warm
-solver daemon (cold CLI subprocess vs cold daemon request vs
-warm-cache round trip, plus request coalescing).  Every entry records
-the objective
-agreement between variants, so a speedup that broke correctness would
-show up in the same file.
+single solve with and without problem reduction; the ``serve`` entry
+measures the warm solver daemon (cold CLI subprocess vs cold daemon
+request vs warm-cache round trip, plus request coalescing).  Every
+entry records the objective agreement between variants, so a speedup
+that broke correctness would show up in the same file.
 
 Gap certification: a ``relative_objective_gap`` of literally ``0.0``
 means the raw gap was at most 1e-9 *and* both endpoints carried a
@@ -41,9 +38,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import platform
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from repro.core import (
     SumUtilityObjective,
     check_kkt,
     solve,
-    solve_batch,
     solve_gradient_projection,
     solve_theta_sweep,
 )
@@ -63,7 +60,6 @@ from repro.scale import (
     DecomposeOptions,
     routing_components,
     solve_approx,
-    solve_compiled,
     solve_decomposed,
 )
 from repro.topology import hierarchical_routing_problem, random_waxman_network
@@ -182,10 +178,6 @@ _COUNTER_KEYS = (
     "presolve.links_eliminated",
     "presolve.links_merged",
     "presolve.rows_dropped",
-    "batch.shm.tasks",
-    "batch.shm.segments",
-    "batch.shm.bytes_shared",
-    "batch.shm.bytes_avoided",
     "stream.intervals",
     "stream.cold_resolves",
     "stream.change_points",
@@ -480,73 +472,6 @@ def bench_obs_overhead(
     }
 
 
-def bench_batch_shm(
-    name: str,
-    problems: Sequence[SamplingProblem],
-    repeats: int,
-    start_method: str | None = None,
-) -> dict:
-    """Compare the pickle-per-task pool against shared-memory publication.
-
-    Wall times on a single-core host mostly measure pool overhead — the
-    structural win recorded here is the serialization traffic: the
-    family arrays cross the process boundary once (``bytes_shared``)
-    instead of once per task (``bytes_avoided`` is the difference).
-    Objective parity is checked against the sequential in-process path.
-    """
-    reference = solve_batch(list(problems), processes=1)
-    pickle_s, _ = _best_of(
-        lambda: solve_batch(
-            list(problems), processes=2, shared_memory=False,
-            start_method=start_method,
-        ),
-        repeats,
-    )
-    shm_s, shm_solutions = _best_of(
-        lambda: solve_batch(
-            list(problems), processes=2, shared_memory=True,
-            start_method=start_method,
-        ),
-        repeats,
-    )
-    with collecting_metrics(reset=True) as registry:
-        solve_batch(
-            list(problems), processes=2, shared_memory=True,
-            start_method=start_method,
-        )
-        shm_counters = registry.counters("batch.shm")
-    raw_gap = max(
-        abs(r.diagnostics.objective_value - s.diagnostics.objective_value)
-        / max(abs(r.diagnostics.objective_value), 1e-12)
-        for r, s in zip(reference, shm_solutions)
-    )
-    gap, raw_gap, certified = _certified_gap(
-        raw_gap, *reference, *shm_solutions
-    )
-    bytes_shared = int(shm_counters.get("batch.shm.bytes_shared", 0))
-    bytes_avoided = int(shm_counters.get("batch.shm.bytes_avoided", 0))
-    return {
-        "kind": "batch-shm",
-        "name": name,
-        "tasks": len(problems),
-        "links": problems[0].num_links,
-        "od_pairs": problems[0].num_od_pairs,
-        "start_method": start_method or "default",
-        "pickle_pool_seconds": pickle_s,
-        "shm_pool_seconds": shm_s,
-        "speedup": pickle_s / shm_s if shm_s > 0 else None,
-        "segments": int(shm_counters.get("batch.shm.segments", 0)),
-        "bytes_shared": bytes_shared,
-        "bytes_avoided": bytes_avoided,
-        "bytes_avoided_per_task": (
-            bytes_avoided / len(problems) if problems else 0.0
-        ),
-        "relative_objective_gap": gap,
-        "raw_relative_objective_gap": raw_gap,
-        "gap_certified": certified,
-    }
-
-
 def bench_serve(name: str, repeats: int, quick: bool) -> dict:
     """Warm solver daemon vs the cold CLI on the GEANT/JANET task.
 
@@ -777,7 +702,6 @@ def bench_scaling(
     run_approx: bool = True,
     run_exact: bool = False,
     exact_budget_s: float | None = None,
-    run_compiled: bool = False,
     run_decompose: bool = False,
     decompose_polish: bool = True,
     decompose_gap_tolerance: float | None = None,
@@ -823,15 +747,6 @@ def bench_scaling(
             approx_gap_relative=_relative_gap(approx.diagnostics),
             approx_rounds=approx.diagnostics.iterations,
             approx_converged=bool(approx.diagnostics.converged),
-        )
-
-    if run_compiled:
-        compiled_s, compiled = _best_of(lambda: solve_compiled(problem), 1)
-        entry.update(
-            compiled_seconds=compiled_s,
-            compiled_gap_relative=_relative_gap(compiled.diagnostics),
-            compiled_method=compiled.diagnostics.method,
-            compiled_converged=bool(compiled.diagnostics.converged),
         )
 
     if run_decompose:
@@ -912,11 +827,6 @@ def run_benchmarks(
                 8,
             )
         )
-    batch_family = [
-        large.with_theta(large.theta_packets * factor)
-        for factor in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
-    ]
-
     entries = [
         bench_solver("geant-janet", geant, repeats),
         bench_solver(
@@ -929,12 +839,6 @@ def run_benchmarks(
             else "presolve-segmented-large-sparse",
             segmented,
             repeats,
-        ),
-        bench_batch_shm(
-            "batch-shm-quick" if quick else "batch-shm-waxman-large",
-            batch_family,
-            repeats,
-            start_method=start_method,
         ),
         bench_sweep(
             "theta-sweep-quick" if quick else "theta-sweep-large-sparse",
@@ -952,8 +856,7 @@ def run_benchmarks(
     # decomposition backend on its canonical shape.
     entries.append(
         bench_scaling(
-            "scaling-hier-1k", 16, 30, 2,
-            run_exact=True, run_compiled=True,
+            "scaling-hier-1k", 16, 30, 2, run_exact=True,
         )
     )
     entries.append(
@@ -1015,13 +918,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--start-method", default=None,
         choices=("fork", "forkserver", "spawn"),
-        help="multiprocessing start method for the pool benchmarks "
-             "(default: platform default); CI runs a forkserver pass to "
-             "catch shared-memory lifecycle leaks",
+        help="multiprocessing start method of every process pool in the "
+             "run (default: platform default)",
     )
     args = parser.parse_args(argv)
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.start_method is not None:
+        multiprocessing.set_start_method(args.start_method, force=True)
 
     report = run_benchmarks(
         quick=args.quick, repeats=args.repeats, start_method=args.start_method
@@ -1078,11 +982,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"(gap {entry['decompose_gap_relative']:.1e}, "
                     f"{entry['decompose_components']} components)"
                 )
-            if "compiled_seconds" in entry:
-                parts.append(
-                    f"compiled {entry['compiled_seconds']:.3f}s "
-                    f"(gap {entry['compiled_gap_relative']:.1e})"
-                )
             if entry["exact_attempted"]:
                 status = (
                     "converged" if entry["exact_converged"]
@@ -1096,16 +995,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 parts.append("exact not attempted")
             print(" | ".join(parts))
-        elif entry["kind"] == "batch-shm":
-            print(
-                f"[batch-shm] {entry['name']}: {entry['tasks']} tasks "
-                f"({entry['start_method']}) "
-                f"pickle {entry['pickle_pool_seconds']:.3f}s -> "
-                f"shm {entry['shm_pool_seconds']:.3f}s, "
-                f"{entry['bytes_avoided']} serialization bytes avoided "
-                f"({entry['segments']} segment(s), "
-                f"{entry['bytes_shared']} shared)"
-            )
         elif entry["kind"] == "stream":
             print(
                 f"[stream] {entry['name']}: {entry['intervals']} intervals "

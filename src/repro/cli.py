@@ -52,8 +52,8 @@ notices go to stderr, so ``--json`` output stays machine-parseable.
 ``sweep --chaos`` is the self-checking resilience smoke: it re-runs the
 sweep with a seeded worker kill and a seeded solver hang injected
 (:mod:`repro.resilience.faults`) and fails unless the faulted runs
-reproduce the unfaulted rates exactly, every exact member carries a
-satisfied KKT certificate, and no shared-memory segments leak.
+reproduce the unfaulted rates exactly and every exact member carries
+a satisfied KKT certificate.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from .obs import (
     write_manifest,
 )
 from .routing import ODPair
+from .scale import BACKEND_ALIASES, BACKEND_NAMES
 from .topology import (
     Network,
     abilene_network,
@@ -185,14 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed for the gravity background")
     slv.add_argument("--method", default="gradient_projection",
                      choices=("gradient_projection", "slsqp", "trust-constr"))
-    slv.add_argument("--backend", default="exact",
-                     choices=("exact", "approx", "decompose", "compiled",
-                              "auto"),
+    slv.add_argument("--backend", default="exact", choices=BACKEND_NAMES,
                      help="scale backend: exact GP (default), Frank-Wolfe "
-                          "water-filling, connectivity decomposition, "
-                          "compiled kernels, or auto by structure; "
-                          "non-exact answers carry a certified "
-                          "optimality gap")
+                          "water-filling, connectivity decomposition, or "
+                          "auto by measured size ('compiled' is an alias "
+                          "of exact); non-exact answers carry a "
+                          "certified optimality gap")
     slv.add_argument("--presolve", action=argparse.BooleanOptionalAction,
                      default=True,
                      help="reduce the problem (eliminate/merge links, drop "
@@ -493,9 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="injected anomaly for op=stream")
     req.add_argument("--method", default="gradient_projection",
                      choices=("gradient_projection", "slsqp", "trust-constr"))
-    req.add_argument("--backend", default="exact",
-                     choices=("exact", "approx", "decompose", "compiled",
-                              "auto"))
+    req.add_argument("--backend", default="exact", choices=BACKEND_NAMES)
     req.add_argument("--presolve", action=argparse.BooleanOptionalAction,
                      default=True)
     req.add_argument("--path", default=None, metavar="FILE.jsonl",
@@ -559,6 +556,7 @@ def _build_task(args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    args.backend = BACKEND_ALIASES.get(args.backend, args.backend)
     if args.daemon:
         code = _solve_via_daemon(args)
         if code is not None:
@@ -740,12 +738,11 @@ def _run_chaos_sweep(args, problem, thetas, policy) -> int:
 
     Two faulted re-runs of the same sweep — a seeded worker SIGKILL
     through the crash-safe pool, and a seeded solver hang through the
-    supervisor — must reproduce their unfaulted twins' rates bitwise,
-    keep every member's KKT certificate satisfied, and leave no
-    shared-memory segments behind.  Exit is non-zero on any violation.
+    supervisor — must reproduce their unfaulted twins' rates bitwise
+    and keep every member's KKT certificate satisfied.  Exit is
+    non-zero on any violation.
     """
     from .core.batch import solve_batch, solve_theta_sweep
-    from .core.shm import live_segment_names
     from .resilience import chaos_plan, injected_faults
 
     hang_seconds = 3.0 * policy.timeout_s
@@ -810,12 +807,11 @@ def _run_chaos_sweep(args, problem, thetas, policy) -> int:
         "faults: the worker kill actually broke the pool": (
             counters.get("resilience.pool.broken", 0) >= 1
         ),
-        "shm: no leaked shared-memory segments": not live_segment_names(),
     }
     resilience_counters = {
         key: value
         for key, value in sorted(counters.items())
-        if key.startswith(("resilience.", "faults.", "batch.shm."))
+        if key.startswith(("resilience.", "faults."))
     }
     if args.as_json:
         print(

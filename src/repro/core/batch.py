@@ -27,12 +27,9 @@ chaining).  A mismatch — a failure scenario on an equal-sized
 topology, a re-routed OD pair — cold-starts silently and counts
 ``batch.warm_start.stale``.
 
-Pools ship problems zero-copy where possible: the routing matrix,
-loads and bounds of each distinct problem family are published once
-via :mod:`repro.core.shm` and workers attach read-only, instead of
-re-unpickling megabytes per task.  Heterogeneous utility stacks (or a
-missing ``multiprocessing.shared_memory``) fall back transparently to
-the pickle path.
+Pool workers receive each problem pickled and send back only the
+rates and diagnostics; the parent re-binds them to its own problem
+object, so the problem never crosses the pipe twice.
 """
 
 from __future__ import annotations
@@ -541,24 +538,15 @@ def _solve_presolved_sweep(
     return solutions
 
 
-def _solve_single(
+def _solve_task(
     payload: tuple[SamplingProblem, str, GradientProjectionOptions | None, bool],
-) -> SamplingSolution:
-    problem, method, options, presolve = payload
-    return solve(problem, method=method, options=options, presolve=presolve)
+) -> tuple[np.ndarray, object]:
+    """Pool target: solve one problem, return ``(rates, diagnostics)``.
 
-
-def _solve_shared(payload) -> tuple[np.ndarray, object]:
-    """Pool target for shared-memory tasks: attach, solve, return rates.
-
-    Returns ``(rates, diagnostics)`` rather than the full solution —
-    the parent re-binds them to *its* problem object, so the worker
-    never pickles the problem back across the pipe.
+    Not the full solution — the parent re-binds the result to *its*
+    problem object, so the worker never pickles the problem back.
     """
-    handle, method, options, presolve = payload
-    from .shm import attach_problem
-
-    problem = attach_problem(handle)
+    problem, method, options, presolve = payload
     solution = solve(problem, method=method, options=options, presolve=presolve)
     return solution.rates, solution.diagnostics
 
@@ -595,7 +583,7 @@ def _obs_context() -> dict | None:
     return context or None
 
 
-def _run_observed(kind: str, payload, index: int, attempt: int, obs: dict):
+def _run_observed(payload, index: int, attempt: int, obs: dict):
     """Worker-side task body under shipped observability context.
 
     Enables the worker-local registry for the task (restoring after),
@@ -622,12 +610,11 @@ def _run_observed(kind: str, payload, index: int, attempt: int, obs: dict):
             with remote_span_context(
                 span_context, label=f"worker:{os.getpid()}"
             ) as recorder:
-                with span("batch.task", index=index, attempt=attempt,
-                          kind=kind):
-                    result = _dispatch_task(kind, payload)
+                with span("batch.task", index=index, attempt=attempt):
+                    result = _solve_task(payload)
             shipped = [item.to_dict() for item in recorder.spans]
         else:
-            result = _dispatch_task(kind, payload)
+            result = _solve_task(payload)
             shipped = []
         delta = (
             diff_snapshots(METRICS.snapshot(), before)
@@ -640,16 +627,10 @@ def _run_observed(kind: str, payload, index: int, attempt: int, obs: dict):
     return _ObsEnvelope(result=result, metrics=delta, spans=shipped)
 
 
-def _dispatch_task(kind: str, payload):
-    if kind == "shared":
-        return _solve_shared(payload)
-    return _solve_single(payload)
-
-
 def _pool_run(task):
-    """Pool entry point: arm fault injection, then dispatch by kind.
+    """Pool entry point: arm fault injection, then solve.
 
-    ``task`` is ``(kind, payload, index, attempt, plan, obs)``.  The
+    ``task`` is ``(payload, index, attempt, plan, obs)``.  The
     fault plan travels *inside* the task (a forked worker's inherited
     module state is a snapshot, and spawn-start workers have none), so
     worker behaviour is governed entirely by what the parent shipped.
@@ -657,7 +638,7 @@ def _pool_run(task):
     metrics opt-in — worker registries and recorders are process-local
     snapshots, so enablement cannot be inherited reliably either.
     """
-    kind, payload, index, attempt, plan, obs = task
+    payload, index, attempt, plan, obs = task
     from ..resilience import faults
 
     if plan is not None:
@@ -666,8 +647,8 @@ def _pool_run(task):
         faults.clear_faults()
     faults.maybe_fire(faults.SITE_WORKER_EXIT, index=index, attempt=attempt)
     if obs is not None:
-        return _run_observed(kind, payload, index, attempt, obs)
-    return _dispatch_task(kind, payload)
+        return _run_observed(payload, index, attempt, obs)
+    return _solve_task(payload)
 
 
 def _merge_envelope(envelope: _ObsEnvelope) -> None:
@@ -681,7 +662,7 @@ def _merge_envelope(envelope: _ObsEnvelope) -> None:
 
 
 def _run_crash_safe_pool(
-    tasks: Sequence[tuple[int, str, tuple]],
+    tasks: Sequence[tuple],
     workers: int,
     context,
     max_pool_restarts: int,
@@ -709,10 +690,9 @@ def _run_crash_safe_pool(
 
     plan = fault_mod.active_plan()
     base_obs = _obs_context()
-    payloads = {index: (kind, payload) for index, kind, payload in tasks}
-    attempts = {index: 0 for index, _, _ in tasks}
+    attempts = {index: 0 for index in range(len(tasks))}
     results: dict[int, object] = {}
-    pending = [index for index, _, _ in tasks]
+    pending = list(range(len(tasks)))
     pool_failures = 0
     while pending:
         if pool_failures > max_pool_restarts:
@@ -731,7 +711,6 @@ def _run_crash_safe_pool(
         ) as executor:
             futures = {}
             for index in pending:
-                kind, payload = payloads[index]
                 task_obs = (
                     None
                     if base_obs is None
@@ -740,7 +719,7 @@ def _run_crash_safe_pool(
                 futures[
                     executor.submit(
                         _pool_run,
-                        (kind, payload, index, attempts[index], plan, task_obs),
+                        (tasks[index], index, attempts[index], plan, task_obs),
                     )
                 ] = index
             for future in as_completed(futures):
@@ -806,7 +785,6 @@ def solve_batch(
     method: str = "gradient_projection",
     options: GradientProjectionOptions | None = None,
     presolve: bool = False,
-    shared_memory: bool = True,
     start_method: str | None = None,
     max_pool_restarts: int = 2,
     task_retries: int = 1,
@@ -826,19 +804,12 @@ def solve_batch(
     families where neighbours inform each other, prefer
     :func:`solve_chain`.
 
-    With ``shared_memory`` (default) the pooled path publishes each
-    distinct problem family once via
-    :class:`~repro.core.shm.SharedProblemPool` and sends workers small
-    handles instead of pickled matrices; problems that cannot be
-    shared (heterogeneous utilities) fall back to the pickle path for
-    the whole batch, counted in ``batch.shm.fallback``.
+    Solutions always carry the caller's own problem objects.
     ``start_method`` forces a multiprocessing start method
-    (``fork`` / ``forkserver`` / ``spawn``) — CI uses ``forkserver``
-    to shake out shared-memory lifecycle leaks.
+    (``fork`` / ``forkserver`` / ``spawn``).
 
     Observability: pool fan-out is recorded on the parent registry
-    (``batch.pool.tasks`` / ``batch.pool.workers``, plus the
-    ``batch.shm.*`` publication counters).  When the parent has
+    (``batch.pool.tasks`` / ``batch.pool.workers``).  When the parent has
     metrics collection or span recording on, each task additionally
     ships the parent's context into the worker and returns an
     :class:`_ObsEnvelope`: the worker's counter/gauge/timer/histogram
@@ -881,56 +852,22 @@ def solve_batch(
             problems[index], method=method, options=options, presolve=presolve
         )
 
-    if shared_memory:
-        from .shm import SharedProblemPool, shared_memory_available
-
-        if shared_memory_available():
-            with SharedProblemPool() as pool:
-                handles = [pool.publish(problem) for problem in problems]
-                if all(handle is not None for handle in handles):
-                    tasks = [
-                        (index, "shared", (handle, method, options, presolve))
-                        for index, handle in enumerate(handles)
-                    ]
-                    avoided = (
-                        sum(handle.payload_bytes for handle in handles)
-                        - pool.bytes_shared
-                    )
-                    METRICS.increment("batch.shm.tasks", len(tasks))
-                    METRICS.increment("batch.shm.dispatches")
-                    METRICS.increment("batch.shm.bytes_avoided", int(avoided))
-                    with span("batch.solve_batch", tasks=len(tasks),
-                              workers=workers, mode="pool-shm"):
-                        with METRICS.timer("batch.pool.map"):
-                            results = _run_crash_safe_pool(
-                                tasks, workers, context, max_pool_restarts,
-                                task_retries, _inline,
-                            )
-                    solutions = []
-                    for index, problem in enumerate(problems):
-                        result = results[index]
-                        if isinstance(result, SamplingSolution):
-                            solutions.append(result)  # inline-degraded task
-                        else:
-                            rates, diagnostics = result
-                            solutions.append(
-                                SamplingSolution(
-                                    problem=problem, rates=rates,
-                                    diagnostics=diagnostics,
-                                )
-                            )
-                    return solutions
-        METRICS.increment("batch.shm.fallback")
-
-    tasks = [
-        (index, "single", (problem, method, options, presolve))
-        for index, problem in enumerate(problems)
-    ]
+    tasks = [(problem, method, options, presolve) for problem in problems]
     with span("batch.solve_batch", tasks=len(tasks), workers=workers,
-              mode="pool-pickle"):
+              mode="pool"):
         with METRICS.timer("batch.pool.map"):
             results = _run_crash_safe_pool(
                 tasks, workers, context, max_pool_restarts, task_retries,
                 _inline,
             )
-    return [results[index] for index in range(len(problems))]
+    solutions = []
+    for index, problem in enumerate(problems):
+        result = results[index]
+        # Inline-degraded tasks come back as full solutions already.
+        if not isinstance(result, SamplingSolution):
+            rates, diagnostics = result
+            result = SamplingSolution(
+                problem=problem, rates=rates, diagnostics=diagnostics
+            )
+        solutions.append(result)
+    return solutions

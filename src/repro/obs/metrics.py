@@ -31,6 +31,7 @@ catalogue lives in ``docs/observability.md``.
 from __future__ import annotations
 
 import bisect
+import os
 import re
 import threading
 import time
@@ -407,6 +408,16 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
 #: Disabled by default so the solver hot path stays unmeasured unless
 #: a caller opts in.
 METRICS = MetricsRegistry(enabled=False)
+
+
+def _fresh_lock_in_child() -> None:
+    # A child forked while another parent thread held the lock (a
+    # daemon's pool worker, say) inherits it held, with no thread left
+    # to release it: its first snapshot() would block forever.
+    METRICS._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def get_metrics() -> MetricsRegistry:

@@ -18,13 +18,12 @@ method.  Three pieces:
     reproduces the uninterrupted result bit for bit.
 ``repro.resilience.faults``
     Deterministic, seeded fault injection (solve raises/hangs, worker
-    exits, shm attach failures) used by the chaos tests and the CLI's
+    exits, daemon overload) used by the chaos tests and the CLI's
     ``--chaos`` mode.
 
 The crash-safe batch pool itself lives in :mod:`repro.core.batch`
-(dead-worker detection, task re-queue, inline degradation) and the
-leak-proof shared-memory registry in :mod:`repro.core.shm`; both
-consult this package's fault plans.
+(dead-worker detection, task re-queue, inline degradation); it
+consults this package's fault plans.
 """
 
 from .checkpoint import CheckpointMismatchError, SweepCheckpoint
@@ -32,7 +31,6 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    SITE_SHM_ATTACH,
     SITE_SOLVE_HANG,
     SITE_SOLVE_RAISE,
     SITE_WORKER_EXIT,
@@ -78,5 +76,4 @@ __all__ = [
     "SITE_SOLVE_RAISE",
     "SITE_SOLVE_HANG",
     "SITE_WORKER_EXIT",
-    "SITE_SHM_ATTACH",
 ]

@@ -1,6 +1,7 @@
 """``repro.scale``: backends that push the solver past exact-GP scale.
 
-Three cooperating backends, each certified rather than trusted:
+Two backends beside plain exact gradient projection, each certified
+rather than trusted:
 
 ``approx``
     Frank-Wolfe water-filling (:mod:`~repro.scale.approx`) — near-
@@ -9,19 +10,17 @@ Three cooperating backends, each certified rather than trusted:
 ``decompose``
     OD×link connectivity decomposition (:mod:`~repro.scale.decompose`)
     — exact recombination across independent components, parallel on
-    the shared-memory batch pool, certified by full-problem KKT.
-``compiled``
-    The paper's exact gradient projection on fused CSR kernels
-    (:mod:`~repro.scale.compiled`) — numba when importable, pure
-    NumPy otherwise.
+    the batch process pool, certified by full-problem KKT.
 
-:func:`solve_scaled` routes between them (and plain exact GP) with
-the same auto-policy mechanism :class:`~repro.core.routing_op
+:func:`solve_scaled` routes between them and plain exact GP with the
+same auto-policy mechanism :class:`~repro.core.routing_op
 .RoutingOperator` uses for dense/CSR: explicit ``backend=`` always
-wins; ``"auto"`` inspects cheap structural signals — candidate count
-against :data:`APPROX_AUTO_LINKS`, bipartite component count against
-:data:`DECOMPOSE_AUTO_COMPONENTS`, utility-family homogeneity — and
-records its choice in ``scale.backend.*`` counters.
+wins; ``"auto"`` inspects two cheap structural signals — candidate
+count against :data:`APPROX_AUTO_LINKS` and
+:data:`DECOMPOSE_AUTO_MIN_LINKS`, bipartite component count against
+:data:`DECOMPOSE_AUTO_COMPONENTS` — and records its choice in
+``scale.backend.*`` counters.  The thresholds are measured
+crossovers on a 2-CPU host (``docs/performance.md`` §5).
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ from .approx import (
     frank_wolfe_gap,
     solve_approx,
 )
-from .compiled import (
-    KERNEL_BACKEND,
-    NUMBA_AVAILABLE,
-    CompiledAccuracyObjective,
-    compiled_supported,
-    solve_compiled,
-)
 from .decompose import (
     DecomposeOptions,
     RoutingComponents,
@@ -54,29 +46,32 @@ from .decompose import (
 
 __all__ = [
     "SCALE_BACKENDS",
+    "BACKEND_ALIASES",
+    "BACKEND_NAMES",
     "APPROX_AUTO_LINKS",
     "DECOMPOSE_AUTO_COMPONENTS",
     "DECOMPOSE_AUTO_MIN_LINKS",
-    "COMPILED_AUTO_LINKS",
     "ApproxOptions",
     "DecomposeOptions",
     "RoutingComponents",
-    "CompiledAccuracyObjective",
-    "KERNEL_BACKEND",
-    "NUMBA_AVAILABLE",
     "budget_lp_vertex",
     "frank_wolfe_gap",
-    "compiled_supported",
     "routing_components",
     "choose_backend",
     "solve_approx",
-    "solve_compiled",
     "solve_decomposed",
     "solve_scaled",
 ]
 
-#: The backend names ``solve_scaled`` accepts (plus ``"auto"``).
-SCALE_BACKENDS = ("exact", "approx", "decompose", "compiled")
+#: The concrete backends; :func:`choose_backend` returns one of these.
+SCALE_BACKENDS = ("exact", "approx", "decompose")
+
+#: Retired backend names still accepted, and what they resolve to.
+BACKEND_ALIASES = {"compiled": "exact"}
+
+#: Every ``backend`` value the CLI, the daemon and :func:`solve_scaled`
+#: accept.
+BACKEND_NAMES = ("auto", *SCALE_BACKENDS, *BACKEND_ALIASES)
 
 #: Auto policy: candidate counts at or above this get the water-
 #: filling approximation — exact GP's active-set bookkeeping stops
@@ -85,13 +80,10 @@ APPROX_AUTO_LINKS = 50_000
 
 #: Auto policy: decompose when the bipartite structure splits at
 #: least this many ways *and* the instance is big enough for the
-#: split to beat one exact solve.
+#: split to beat one exact solve (measured between 9.2k and 9.7k
+#: candidates on pod-local hierarchies, 2 CPUs).
 DECOMPOSE_AUTO_COMPONENTS = 2
-DECOMPOSE_AUTO_MIN_LINKS = 2_048
-
-#: Auto policy: the compiled objective takes over for mid-size
-#: homogeneous instances (below it, dispatch overhead dominates).
-COMPILED_AUTO_LINKS = 512
+DECOMPOSE_AUTO_MIN_LINKS = 9_600
 
 
 def choose_backend(
@@ -100,18 +92,16 @@ def choose_backend(
     """Resolve ``backend`` (maybe ``"auto"``) to a concrete backend.
 
     Mirrors :meth:`RoutingOperator.from_matrix`: an explicit request
-    is honored verbatim; ``"auto"`` picks by structure — approximation
-    for very large candidate sets, decomposition for separable
-    mid-to-large instances, compiled exact GP for homogeneous
-    accuracy families, plain exact GP otherwise.
+    is honored verbatim (an alias resolves to its backend); ``"auto"``
+    picks by structure — approximation for very large candidate sets,
+    decomposition for large separable instances, exact GP otherwise.
     """
     if backend != "auto":
-        if backend not in SCALE_BACKENDS:
+        if backend not in BACKEND_NAMES:
             raise ValueError(
-                f"unknown scale backend {backend!r}; "
-                f"know {('auto', *SCALE_BACKENDS)}"
+                f"unknown scale backend {backend!r}; know {BACKEND_NAMES}"
             )
-        return backend
+        return BACKEND_ALIASES.get(backend, backend)
     candidates = int(problem.candidate_mask.sum())
     if candidates >= APPROX_AUTO_LINKS:
         return "approx"
@@ -121,10 +111,6 @@ def choose_backend(
             >= DECOMPOSE_AUTO_COMPONENTS
         ):
             return "decompose"
-    if candidates >= COMPILED_AUTO_LINKS and compiled_supported(
-        problem.utilities
-    ):
-        return "compiled"
     return "exact"
 
 
@@ -152,10 +138,6 @@ def solve_scaled(
             )
         if resolved == "decompose":
             return solve_decomposed(problem, options=decompose_options)
-        if resolved == "compiled":
-            return solve_compiled(
-                problem, options=gp_options, warm_start=warm_start
-            )
         from ..core.solver import solve
 
         return solve(problem, options=gp_options)

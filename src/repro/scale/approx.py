@@ -37,7 +37,7 @@ import numpy as np
 from ..core.gradient_projection import initial_feasible_point
 from ..core.kkt import check_kkt
 from ..core.line_search import line_search_along_ray
-from ..core.objective import Objective, SumUtilityObjective
+from ..core.objective import SumUtilityObjective
 from ..core.problem import SamplingProblem
 from ..core.solution import SamplingSolution, SolverDiagnostics
 from ..obs.metrics import METRICS
@@ -117,10 +117,10 @@ def frank_wolfe_gap(
     """(certified bound on ``f* − f(x)``, the LP vertex attaining it).
 
     Valid for any feasible ``x`` of any backend — the decomposition
-    and compiled solvers use it to stamp their answers with the same
-    certificate the approximation carries natively.  The bound is
-    clamped at 0: roundoff can drive the inner product a hair
-    negative when ``x`` is itself the vertex.
+    solver uses it to stamp its answers with the same certificate the
+    approximation carries natively.  The bound is clamped at 0:
+    roundoff can drive the inner product a hair negative when ``x`` is
+    itself the vertex.
     """
     vertex = budget_lp_vertex(gradient, loads, alpha, target_rate)
     gap = float(gradient @ (vertex - x))
@@ -130,7 +130,6 @@ def frank_wolfe_gap(
 def solve_approx(
     problem: SamplingProblem,
     options: ApproxOptions | None = None,
-    objective: Objective | None = None,
     warm_start: np.ndarray | None = None,
 ) -> SamplingSolution:
     """Near-optimal solve by Frank-Wolfe water-filling.
@@ -143,10 +142,8 @@ def solve_approx(
     bound actually achieved — the caller decides whether the wider
     certificate is acceptable.
 
-    ``objective`` overrides the candidate objective (the compiled
-    backend passes its fused evaluator); ``warm_start`` is a
-    full-length rate vector used as the starting point after
-    projection onto the feasible set.
+    ``warm_start`` is a full-length rate vector used as the starting
+    point after projection onto the feasible set.
     """
     t_start = perf_counter()
     options = options or ApproxOptions()
@@ -156,10 +153,9 @@ def solve_approx(
     loads = problem.link_loads_pps[cand]
     alpha = problem.alpha[cand]
     target = problem.theta_rate_pps
-    if objective is None:
-        objective = SumUtilityObjective(
-            problem.candidate_routing_op(), problem.utilities
-        )
+    objective = SumUtilityObjective(
+        problem.candidate_routing_op(), problem.utilities
+    )
 
     if warm_start is not None:
         from ..core.gradient_projection import _project_to_feasible

@@ -17,7 +17,7 @@ price of budget).  The split ``Σ θ_c = θ`` is optimal exactly when
 no budget transfer pays: every unsaturated component sits at a
 common waterline λ* (saturated components, pinned at ``Σ α U``, may
 price higher).  The outer loop equalizes λ: solve the components at
-the current split — round 0 fans out on the shared-memory batch pool
+the current split — round 0 fans out on the batch process pool
 (:func:`~repro.core.batch.solve_batch`), later rounds re-solve
 warm-started — then re-split by inverting each component's local
 price curve through a monotone waterline search.

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import json
 
+from ..scale import BACKEND_ALIASES, BACKEND_NAMES
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
@@ -87,7 +89,6 @@ ERROR_KINDS = (
 )
 
 _METHODS = ("gradient_projection", "slsqp", "trust-constr")
-_BACKENDS = ("exact", "approx", "decompose", "compiled", "auto")
 
 
 class ProtocolError(ValueError):
@@ -243,9 +244,10 @@ def normalize_solve_params(params: dict) -> dict:
     out["method"] = str(params.get("method") or "gradient_projection")
     if out["method"] not in _METHODS:
         raise ProtocolError(f"unknown method {out['method']!r}")
-    out["backend"] = str(params.get("backend") or "exact")
-    if out["backend"] not in _BACKENDS:
-        raise ProtocolError(f"unknown backend {out['backend']!r}")
+    backend = str(params.get("backend") or "exact")
+    if backend not in BACKEND_NAMES:
+        raise ProtocolError(f"unknown backend {backend!r}")
+    out["backend"] = BACKEND_ALIASES.get(backend, backend)
     if out["backend"] != "exact" and out["method"] != "gradient_projection":
         raise ProtocolError(
             "a non-exact backend replaces the solver; drop 'method'"

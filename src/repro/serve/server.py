@@ -17,7 +17,7 @@ request path, in order:
    perform exactly one solve;
 5. **batch or solve** — batchable solves (exact gradient projection)
    park in a micro-batch window; if enough distinct requests are
-   queued they fan out through the shm pool via
+   queued they fan out through the process pool via
    :func:`~repro.core.batch.solve_batch`, otherwise each runs
    warm-chained on the executor;
 6. **certify + cache** — converged, non-degraded, full-fidelity
@@ -822,7 +822,7 @@ class SolverServer:
             self._finish(job, result)
 
     async def _batch_loop(self) -> None:
-        """Micro-batch distinct batchable solves through the shm pool."""
+        """Micro-batch distinct batchable solves through the process pool."""
         while True:
             job = await self._batch_queue.get()
             jobs = [job]

@@ -27,9 +27,6 @@ documented tolerance (see :data:`TOLERANCES` and
 ``decompose``
     Component decomposition vs one full solve on a block-diagonal
     instance assembled from the problem (guaranteed ≥ 2 components).
-``compiled``
-    The fused-kernel objective backend vs the generic one — same
-    gradient projection, same iterates, dense/CSR-grade tolerance.
 
 Comparisons gate on the *objective* (unique at the optimum even when
 the rate vector is degenerate) plus each solution's own KKT
@@ -70,7 +67,6 @@ __all__ = [
     "check_reference",
     "check_approx",
     "check_decompose",
-    "check_compiled",
     "check_stream",
     "check_reconfig",
     "differential_check",
@@ -92,12 +88,9 @@ TOLERANCES: dict[str, float] = {
     # Scale backends (repro.scale): "approx" is slack on the
     # *certificate* — the exact optimum may exceed the approximate
     # value by at most the certified gap plus this roundoff allowance;
-    # "decompose" gates merged-vs-full objectives; "compiled" holds
-    # the fused kernels to the dense/CSR-grade bar since the iterates
-    # are mathematically identical.
+    # "decompose" gates merged-vs-full objectives.
     "approx": 1e-9,
     "decompose": 1e-6,
-    "compiled": 1e-7,
     # Streaming control plane (repro.stream): "stream" gates each
     # interval's warm incremental optimum against a cold exact solve
     # of the identical problem; "reconfig" gates the penalized
@@ -413,31 +406,6 @@ def check_decompose(problem: SamplingProblem) -> dict:
     }
 
 
-def check_compiled(problem: SamplingProblem) -> dict:
-    """Fused-kernel objective backend vs the generic objective."""
-    from ..scale import solve_compiled
-
-    generic = solve(problem)
-    compiled = solve_compiled(problem)
-    gap = _rel_gap(
-        _ref_objective(problem, generic),
-        _ref_objective(problem, compiled),
-    )
-    return {
-        "pair": "compiled",
-        "objective_gap": gap,
-        "kernel_backend": compiled.diagnostics.method,
-        "max_rate_diff": float(
-            np.abs(generic.rates - compiled.rates).max()
-        ),
-        "kkt_ok": _kkt_ok(problem, generic) and _kkt_ok(problem, compiled),
-        "tolerance": TOLERANCES["compiled"],
-        "passed": gap <= TOLERANCES["compiled"]
-        and _kkt_ok(problem, generic)
-        and _kkt_ok(problem, compiled),
-    }
-
-
 def _utility_inverse_sizes(problem: SamplingProblem) -> np.ndarray:
     """Per-OD mean inverse packet counts behind the problem's utilities."""
     return np.array([u.mean_inverse_size for u in problem.utilities])
@@ -619,7 +587,6 @@ def differential_check(
         check_stacked(problem),
         check_supervised(problem),
         check_approx(problem),
-        check_compiled(problem),
         check_decompose(problem),
         check_stream(problem),
         check_reconfig(problem),

@@ -302,24 +302,9 @@ class TestSolveBatch:
                 seq.objective_value, rel=1e-12
             )
 
-    def test_shared_memory_pool_matches_pickle_pool(self):
+    def test_pool_solutions_bind_original_problems(self):
         problems = self._family()
-        with collecting_metrics() as metrics:
-            shared = solve_batch(problems, processes=2, shared_memory=True)
-        counters = metrics.counters()
-        pickled = solve_batch(problems, processes=2, shared_memory=False)
-        for shm, ref in zip(shared, pickled):
-            np.testing.assert_allclose(shm.rates, ref.rates, atol=1e-12)
-            assert shm.objective_value == pytest.approx(
-                ref.objective_value, rel=1e-12
-            )
-        assert counters.get("batch.shm.tasks", 0) == len(problems)
-        assert counters.get("batch.shm.segments", 0) >= 1
-        assert counters.get("batch.shm.fallback", 0) == 0
-
-    def test_shared_memory_solutions_bind_original_problems(self):
-        problems = self._family()
-        solutions = solve_batch(problems, processes=2, shared_memory=True)
+        solutions = solve_batch(problems, processes=2)
         for solution, problem in zip(solutions, problems):
             assert solution.problem is problem
 
@@ -332,10 +317,7 @@ class TestSolveBatch:
             utilities=[LogUtility() for _ in range(base[0].num_od_pairs)],
         )
         problems = [*base[:2], logs]
-        with collecting_metrics() as metrics:
-            solutions = solve_batch(problems, processes=2, shared_memory=True)
-        counters = metrics.counters()
-        assert counters.get("batch.shm.fallback", 0) == 1
+        solutions = solve_batch(problems, processes=2)
         for solution, problem in zip(solutions, problems):
             reference = solve_gradient_projection(problem)
             assert solution.objective_value == pytest.approx(

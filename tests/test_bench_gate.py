@@ -142,8 +142,8 @@ class TestCompareReports:
 class TestTolerances:
     def test_committed_file_parses_with_sane_bands(self):
         tolerances = load_tolerances(DEFAULT_TOLERANCES)
-        for kind in ("solver", "presolve", "sweep", "batch-shm",
-                     "scaling", "obs", "default"):
+        for kind in ("solver", "presolve", "sweep", "scaling", "obs",
+                     "default"):
             band = tolerance(tolerances, kind, "max_slowdown")
             assert band is not None
             # Bands must catch a genuine 2x regression yet tolerate

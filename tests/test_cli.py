@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.scale import BACKEND_NAMES
 
 
 class TestTopologyCommands:
@@ -102,8 +103,18 @@ class TestSolveCommand:
                      "--backend", "compiled", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"].startswith("compiled_gp[")
+        assert payload["method"] == "gradient_projection"
+        assert payload["backend"] == "exact"
         assert payload["converged"]
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_solve_and_request_accept_every_backend_name(self, backend):
+        parser = build_parser()
+        for argv in (
+            ["solve", "--theta", "1", "--backend", backend],
+            ["request", "solve", "--socket", "x", "--backend", backend],
+        ):
+            assert parser.parse_args(argv).backend == backend
 
     def test_backend_exact_leaves_gap_unset(self, capsys):
         code = main(["solve", "--theta", "100000", "--json"])

@@ -138,6 +138,13 @@ class TestSolverCorrectness:
         with pytest.raises(InfeasibleProblemError):
             solve_gradient_projection(problem)
 
+    def test_default_cap_derived_from_candidates(self):
+        options = GradientProjectionOptions()
+        assert options.iteration_cap(500) == 2000  # the paper's cap
+        assert options.iteration_cap(1_000) == 4_000
+        explicit = GradientProjectionOptions(max_iterations=7)
+        assert explicit.iteration_cap(1_000_000) == 7
+
     def test_iteration_cap_respected(self):
         options = GradientProjectionOptions(max_iterations=1)
         solution = solve_gradient_projection(two_od_problem(), options=options)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import select
+import signal
 import threading
 
 import pytest
 
 from repro.core import solve_batch, solve_gradient_projection
 from repro.obs import (
+    METRICS,
     MetricsRegistry,
     collecting_metrics,
     disable_metrics,
@@ -128,6 +132,42 @@ class TestThreadSafety:
             w.join()
         assert registry.counter("contested") == threads * per_thread
         assert registry.snapshot()["timers"]["t"]["count"] == threads * per_thread
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_under_held_lock_can_snapshot(self):
+        # A pool worker forked while another thread holds the registry
+        # lock must not inherit it held.
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with METRICS._lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(5.0)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: the holder thread did not survive
+                try:
+                    METRICS.snapshot()
+                    os.write(write_fd, b"ok")
+                finally:
+                    os._exit(0)
+        finally:
+            release.set()
+            holder.join(5.0)
+        assert not holder.is_alive()
+        os.close(write_fd)
+        ready, _, _ = select.select([read_fd], [], [], 5.0)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        answer = os.read(read_fd, 2) if ready else b""
+        os.close(read_fd)
+        assert answer == b"ok", "child blocked in snapshot() for 5 s"
 
 
 class TestSolverInstrumentation:

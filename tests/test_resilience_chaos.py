@@ -1,10 +1,9 @@
-"""Chaos tests: injected worker deaths, attach failures, leak recovery.
+"""Chaos tests: injected worker deaths and failing pool tasks.
 
 These exercise the crash-safe pool end to end with *real* process
 deaths (``os._exit`` in a worker, indistinguishable from a SIGKILL)
-and verify the three survival properties: results identical to the
-unfaulted run, bounded degradation when faults persist, and no
-shared-memory segments left behind.
+and verify the two survival properties: results identical to the
+unfaulted run, and bounded degradation when faults persist.
 """
 
 import numpy as np
@@ -12,19 +11,12 @@ import pytest
 
 from repro import SamplingProblem, solve_batch
 from repro.cli import main
-from repro.core.shm import (
-    SharedProblemPool,
-    live_segment_names,
-    shared_memory_available,
-    sweep_leaked_segments,
-)
+from repro.core import batch
 from repro.obs import collecting_metrics
 from repro.resilience.faults import (
-    SITE_SHM_ATTACH,
     SITE_WORKER_EXIT,
     FaultPlan,
     FaultSpec,
-    chaos_plan,
     clear_faults,
     injected_faults,
 )
@@ -81,51 +73,25 @@ class TestWorkerDeath:
         for a, b in zip(baseline, survived):
             np.testing.assert_array_equal(a.rates, b.rates)
 
-    def test_no_shared_memory_leak_after_worker_death(self, batch_problems):
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        with injected_faults(_kill_plan(1)):
-            solve_batch(batch_problems, processes=3)
-        assert live_segment_names() == []
 
+class TestTaskFailure:
+    def test_raising_task_falls_back_inline(self, batch_problems, monkeypatch):
+        def broken(payload):
+            raise RuntimeError("worker-side failure")
 
-class TestAttachFailure:
-    def test_failed_attach_falls_back_inline(self, batch_problems):
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        # occurrence counters reset per shipped task, so occurrence 0
-        # fires on *every* worker attach; with no task retries every
-        # member must be recovered inline by the parent
-        plan = FaultPlan(
-            specs=(FaultSpec(site=SITE_SHM_ATTACH, hits=frozenset({0})),)
-        )
+        # Forked workers inherit the patched task body; the parent's
+        # inline recovery path calls the solver directly.
+        monkeypatch.setattr(batch, "_solve_task", broken)
         baseline = solve_batch(batch_problems, processes=1)
-        with injected_faults(plan), collecting_metrics() as reg:
+        with collecting_metrics() as reg:
             survived = solve_batch(
-                batch_problems, processes=3, task_retries=0
+                batch_problems, processes=3, task_retries=0,
+                start_method="fork",
             )
             counters = reg.snapshot()["counters"]
         assert counters["resilience.task.inline"] == len(batch_problems)
         for a, b in zip(baseline, survived):
             np.testing.assert_array_equal(a.rates, b.rates)
-        assert live_segment_names() == []
-
-
-class TestLeakRecovery:
-    def test_sweep_recovers_unlinked_segments(self, batch_problems):
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        pool = SharedProblemPool()
-        handle = pool.publish(batch_problems[0])
-        assert handle is not None
-        assert live_segment_names()  # the segment is registered...
-        with collecting_metrics() as reg:
-            recovered = sweep_leaked_segments()  # ...until the sweeper runs
-            counters = reg.snapshot()["counters"]
-        assert recovered >= 1
-        assert counters["batch.shm.leaked_recovered"] >= 1
-        assert live_segment_names() == []
-        pool.close()  # idempotent against the already-unlinked segments
 
 
 class TestChaosCli:

@@ -5,8 +5,7 @@ uninterrupted one (warm starts and all), a checkpoint from a different
 sweep is rejected loudly, and the one failure the format tolerates — a
 line truncated mid-append by a crash — is dropped silently.  The
 randomized kill-point classes extend the same contract to arbitrary
-byte offsets (a real crash does not stop at a line boundary) and to
-the shared-memory segments a crashed batch leaves behind.
+byte offsets (a real crash does not stop at a line boundary).
 """
 
 import json
@@ -16,12 +15,6 @@ import pytest
 
 from repro import CheckpointMismatchError, SamplingProblem, SweepCheckpoint
 from repro.core import solve_theta_sweep
-from repro.core.shm import (
-    SharedProblemPool,
-    attach_problem,
-    live_segment_names,
-    sweep_leaked_segments,
-)
 from repro.obs import collecting_metrics
 
 THETAS = [500.0, 1000.0, 2000.0, 4000.0, 8000.0]
@@ -163,55 +156,6 @@ class TestRandomizedKillPoints:
         resumed = solve_theta_sweep(small_problem, THETAS, checkpoint=path)
         for a, b in zip(full, resumed):
             np.testing.assert_array_equal(a.rates, b.rates)
-
-
-class TestShmCrashRecovery:
-    """Shared-memory segments survive round-trips and crashes cleanly."""
-
-    def test_publish_attach_round_trip(self, small_problem):
-        with SharedProblemPool() as pool:
-            handle = pool.publish(small_problem)
-            assert handle is not None
-            attached = attach_problem(handle)
-            np.testing.assert_array_equal(
-                attached.link_loads_pps, small_problem.link_loads_pps
-            )
-            np.testing.assert_array_equal(
-                attached.alpha, small_problem.alpha
-            )
-            np.testing.assert_array_equal(
-                np.asarray(attached.routing),
-                np.asarray(small_problem.routing),
-            )
-            assert attached.theta_packets == small_problem.theta_packets
-        assert live_segment_names() == []
-
-    def test_attached_solve_matches_original(self, small_problem):
-        from repro.core import solve
-
-        with SharedProblemPool() as pool:
-            handle = pool.publish(small_problem)
-            attached = attach_problem(handle)
-            np.testing.assert_array_equal(
-                solve(attached).rates, solve(small_problem).rates
-            )
-
-    def test_abandoned_pool_is_recovered_by_sweep(self, small_problem):
-        """A pool the parent never closed (crash) leaks; the sweep heals."""
-        pool = SharedProblemPool()
-        handle = pool.publish(small_problem)
-        assert handle.segment in live_segment_names()
-        # Simulate the crash: drop the pool without close().
-        del pool
-        with collecting_metrics() as reg:
-            recovered = sweep_leaked_segments()
-            counters = reg.snapshot()["counters"]
-        assert recovered >= 1
-        assert live_segment_names() == []
-        assert counters["batch.shm.leaked_recovered"] >= 1
-
-    def test_sweep_is_idempotent(self):
-        assert sweep_leaked_segments() == 0
 
 
 class TestMismatch:

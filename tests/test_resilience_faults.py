@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 from repro.resilience.faults import (
-    SITE_SHM_ATTACH,
     SITE_SOLVE_HANG,
     SITE_SOLVE_RAISE,
     SITE_WORKER_EXIT,
@@ -107,7 +106,7 @@ class TestPickling:
 class TestInstallation:
     def test_maybe_fire_is_noop_without_plan(self):
         maybe_fire(SITE_SOLVE_RAISE)
-        maybe_fire(SITE_SHM_ATTACH)
+        maybe_fire(SITE_SOLVE_HANG)
 
     def test_maybe_fire_raises_injected_fault(self):
         plan = FaultPlan(

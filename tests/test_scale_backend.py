@@ -7,6 +7,7 @@ from repro import SamplingProblem, janet_task
 from repro.obs import collecting_metrics
 from repro.scale import (
     APPROX_AUTO_LINKS,
+    DECOMPOSE_AUTO_MIN_LINKS,
     SCALE_BACKENDS,
     choose_backend,
     solve_scaled,
@@ -31,30 +32,33 @@ class TestChooseBackend:
     def test_small_problem_stays_exact(self, geant_problem):
         assert choose_backend(geant_problem, "auto") == "exact"
 
-    def test_separable_midsize_decomposes(self):
-        # The auto policy keys on *candidate* links (columns some OD
-        # row touches), so the OD count must cover enough of the leaf
-        # links to cross the decompose floor.
+    # The auto policy keys on *candidate* links (columns some OD row
+    # touches).  Exact GP owns everything below the measured decompose
+    # crossover, pod-local or not.
+    @pytest.mark.parametrize(
+        "pods, leaves, share, od_pairs, candidates, backend",
+        [
+            (16, 30, 0.5, None, (512, 1_000), "exact"),
+            (40, 60, 1.0, None, (2_048, DECOMPOSE_AUTO_MIN_LINKS), "exact"),
+            (85, 98, 1.0, None,
+             (DECOMPOSE_AUTO_MIN_LINKS, APPROX_AUTO_LINKS), "decompose"),
+            (200, 200, 0.5, 120_000, (APPROX_AUTO_LINKS, None), "approx"),
+        ],
+        ids=["1k-exact", "40x60-podlocal-exact", "85x98-podlocal-decompose",
+             "50k-approx"],
+    )
+    def test_auto_picks_by_measured_size(
+        self, pods, leaves, share, od_pairs, candidates, backend
+    ):
         problem = hierarchical_routing_problem(
-            48, 48, 2, intra_pod_fraction=1.0, num_od_pairs=6_912, seed=0
+            pods, leaves, 2, intra_pod_fraction=share,
+            num_od_pairs=od_pairs, seed=1,
         )
-        assert int(problem.candidate_mask.sum()) >= 2_048
-        assert choose_backend(problem, "auto") == "decompose"
-
-    def test_midsize_coupled_problem_compiles(self):
-        problem = hierarchical_routing_problem(
-            8, 60, 2, intra_pod_fraction=0.0, num_od_pairs=960, seed=0
-        )
-        candidates = int(problem.candidate_mask.sum())
-        assert 512 <= candidates < 2_048
-        assert choose_backend(problem, "auto") == "compiled"
-
-    def test_huge_problem_approximates(self):
-        problem = hierarchical_routing_problem(
-            200, 200, 2, intra_pod_fraction=0.5, num_od_pairs=120_000, seed=0
-        )
-        assert int(problem.candidate_mask.sum()) >= APPROX_AUTO_LINKS
-        assert choose_backend(problem, "auto") == "approx"
+        low, high = candidates
+        count = int(problem.candidate_mask.sum())
+        assert count >= low and (high is None or count < high)
+        assert choose_backend(problem, "auto") == backend
+        assert choose_backend(problem, "compiled") == "exact"
 
 
 class TestSolveScaled:
@@ -76,9 +80,22 @@ class TestSolveScaled:
         assert scaled.diagnostics.optimality_gap is None
 
     def test_compiled_dispatch(self, geant_problem):
-        solution = solve_scaled(geant_problem, backend="compiled")
-        assert solution.diagnostics.method.startswith("compiled_gp[")
-        assert solution.diagnostics.optimality_gap is not None
+        # "compiled" is a retired backend name, kept as an exact alias.
+        with collecting_metrics(reset=True) as registry:
+            solution = solve_scaled(geant_problem, backend="compiled")
+            counters = registry.snapshot()["counters"]
+        assert solution.diagnostics.method == "gradient_projection"
+        assert counters["scale.backend.exact"] == 1
+
+    def test_auto_converges_above_the_paper_iteration_cap(self):
+        # ~1.9k candidates: exact GP needs more than the paper's 2000
+        # iterations here, which the derived cap allows.
+        problem = hierarchical_routing_problem(
+            24, 60, intra_pod_fraction=0.5, seed=2
+        )
+        solution = solve_scaled(problem, backend="auto")
+        assert solution.diagnostics.converged
+        assert solution.diagnostics.kkt.satisfied
 
     def test_decompose_dispatch(self):
         from repro.scale import DecomposeOptions

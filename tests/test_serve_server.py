@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import solve
+from repro.scale import BACKEND_ALIASES, BACKEND_NAMES
 from repro.resilience.faults import (
     SITE_SERVE_CLIENT_DISCONNECT,
     SITE_SOLVE_RAISE,
@@ -432,6 +433,13 @@ class TestClientDisconnect:
 
 
 class TestSessionIdentity:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_protocol_accepts_every_backend_name(self, backend):
+        from repro.serve.protocol import normalize_solve_params
+
+        params = normalize_solve_params({"theta": 1e5, "backend": backend})
+        assert params["backend"] == BACKEND_ALIASES.get(backend, backend)
+
     def test_equivalent_params_share_a_key_and_theta_splits_it(self):
         from repro.serve.protocol import normalize_solve_params
 

@@ -15,9 +15,9 @@ Three families of checks per benchmark entry, matched by ``name``:
 
 ``slowdown``
     For each tracked wall-clock metric of the entry's kind (e.g.
-    ``optimized_seconds`` for solvers, ``shm_pool_seconds`` for the
-    shared-memory pool), ``fresh / baseline`` must stay at or below the
-    kind's ``max_slowdown`` band.  Every band ships below 2.0 so a
+    ``optimized_seconds`` for solvers, ``warm_request_seconds`` for the
+    daemon), ``fresh / baseline`` must stay at or below the kind's
+    ``max_slowdown`` band.  Every band ships below 2.0 so a
     genuine 2x regression always trips the gate, while quick-mode
     timing noise does not.
 ``speedup retention``
@@ -57,8 +57,7 @@ TRACKED_SECONDS = {
     "solver": ("optimized_seconds",),
     "presolve": ("reduced_seconds",),
     "sweep": ("warm_seconds", "presolved_seconds"),
-    "batch-shm": ("shm_pool_seconds",),
-    "scaling": ("approx_seconds", "decompose_seconds", "compiled_seconds"),
+    "scaling": ("approx_seconds", "decompose_seconds"),
     "obs": ("disabled_seconds",),
     "serve": ("warm_request_seconds",),
     "stream": ("incremental_seconds",),
@@ -70,7 +69,6 @@ SPEEDUP_PAIRS = {
     "solver": ("baseline_seconds", "optimized_seconds"),
     "presolve": ("full_seconds", "reduced_seconds"),
     "sweep": ("cold_seconds", "warm_seconds"),
-    "batch-shm": ("pickle_pool_seconds", "shm_pool_seconds"),
     "scaling": ("exact_seconds", "approx_seconds"),
     "serve": ("cold_cli_seconds", "warm_request_seconds"),
     "stream": ("cold_seconds", "incremental_seconds"),
@@ -85,11 +83,9 @@ GAP_CEILINGS = {
     },
     "presolve": {"relative_objective_gap": "max_relative_objective_gap"},
     "sweep": {"relative_objective_gap": "max_relative_objective_gap"},
-    "batch-shm": {"relative_objective_gap": "max_relative_objective_gap"},
     "scaling": {
         "approx_gap_relative": "max_approx_gap",
         "decompose_gap_relative": "max_decompose_gap",
-        "compiled_gap_relative": "max_compiled_gap",
     },
     "obs": {
         "disabled_overhead_relative": "max_disabled_overhead",
