@@ -21,7 +21,8 @@ entries time a θ ladder solved cold-per-point versus warm-chained
 versus presolved-and-warm-chained; the ``presolve`` entries time a
 single solve with and without problem reduction; the ``serve`` entry
 measures the warm solver daemon (cold CLI subprocess vs cold daemon
-request vs warm-cache round trip, plus request coalescing).  Every
+request vs warm-cache round trip vs uncached warm-chain solve, plus
+request coalescing).  Every
 entry records the objective agreement between variants, so a speedup
 that broke correctness would show up in the same file.
 
@@ -480,7 +481,10 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
     matrix, solve.  ``cold_request_seconds`` is the daemon's first
     answer (task build + solve, no process start), and
     ``warm_request_seconds`` a repeat request answered from the
-    fingerprint-keyed result cache (best of many round trips).  The
+    fingerprint-keyed result cache (best of many round trips).
+    ``warm_miss_seconds`` is the best of as many requests at fresh θ
+    on the resident task: each is a real solve, warm-started from the
+    task's chain, and must come back a certified ``miss``.  The
     coalescing phase fires identical concurrent requests at an uncached
     θ and records how many attached to the single in-flight solve.
     Correctness rides along: the daemon's certified answer must match
@@ -535,6 +539,15 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
             )
             warm_elapsed = time.perf_counter() - warm_start
 
+            warm_miss_s = float("inf")
+            for k in range(1, warm_round_trips + 1):
+                miss_params = {"theta": theta * (1.0 + 0.01 * k)}
+                start = time.perf_counter()
+                miss = client.request("solve", miss_params)
+                warm_miss_s = min(warm_miss_s, time.perf_counter() - start)
+                assert miss["cache"] == "miss", miss["cache"]
+                assert miss["result"]["gap_certified"], miss["result"]
+
             before = client.result("stats")["counters"]
             coalesce_params = {"theta": 0.7 * theta}
             with ThreadPoolExecutor(concurrent_clients) as pool:
@@ -571,6 +584,7 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
         "cold_cli_seconds": cold_cli_s,
         "cold_request_seconds": cold_request_s,
         "warm_request_seconds": warm_s,
+        "warm_miss_seconds": warm_miss_s,
         "speedup": cold_cli_s / warm_s if warm_s > 0 else None,
         "warm_speedup_vs_cold_request": (
             cold_request_s / warm_s if warm_s > 0 else None
@@ -1014,7 +1028,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"cold request {entry['cold_request_seconds']:.3f}s -> "
                 f"warm request {entry['warm_request_seconds'] * 1e3:.2f}ms "
                 f"({entry['speedup']:.0f}x vs CLI, "
-                f"{entry['warm_requests_per_second']:.0f} req/s); "
+                f"{entry['warm_requests_per_second']:.0f} req/s), "
+                f"warm miss {entry['warm_miss_seconds'] * 1e3:.2f}ms; "
                 f"{entry['coalesced_requests']}/"
                 f"{entry['concurrent_clients'] - 1} coalesced onto "
                 f"{entry['coalesce_solves']} solve(s), "

@@ -28,6 +28,21 @@ Packages
     Monte-Carlo evaluation of configurations (the paper's §V method).
 ``repro.baselines``
     Access-link, restricted-set, uniform and two-phase comparators.
+``repro.adaptive``
+    Closed-loop adaptive monitoring: re-solve from sampled estimates,
+    with volume-anomaly alarms.
+``repro.inference``
+    Traffic-matrix inference (tomogravity) from link counts.
+``repro.stream``
+    Streaming re-optimization: per-OD traffic tracking with change
+    points and certified warm re-solves every interval.
+``repro.scale``
+    Backends past exact-GP scale: Frank-Wolfe ``approx`` and
+    connectivity ``decompose``, picked by measured size under
+    ``auto``.
+``repro.serve``
+    The solve daemon: resident tasks and warm chains behind a Unix
+    socket, with a certified result cache (``netsampling serve``).
 ``repro.experiments``
     One module per paper table/figure.
 ``repro.obs``

@@ -395,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="LRU cap on resident tasks/problems (default 8)")
     srv.add_argument("--max-warm", type=int, default=16,
                      help="LRU cap on warm-start chains (default 16)")
-    srv.add_argument("--batch-min", type=int, default=3,
-                     help="min concurrent solves to group through the "
-                          "shared-memory pool (default 3)")
-    srv.add_argument("--batch-window", type=float, default=0.004,
-                     help="micro-batch collection window in seconds "
-                          "(default 0.004; 0 disables batching)")
     srv.add_argument("--workers", type=int, default=4,
                      help="solver thread-pool width (default 4)")
     srv.add_argument("--max-pending", type=int, default=64,
@@ -1192,8 +1186,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.ttl <= 0:
         raise SystemExit("--ttl must be positive")
-    if args.batch_window < 0:
-        raise SystemExit("--batch-window must be >= 0")
     config = ServerConfig(
         socket_path=args.socket,
         ttl_s=args.ttl,
@@ -1201,8 +1193,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_resident_tasks=args.max_tasks,
         max_warm_chains=args.max_warm,
         journal_path=args.journal,
-        batch_min=args.batch_min,
-        batch_window_s=args.batch_window,
         executor_workers=args.workers,
         max_pending=args.max_pending,
         low_watermark=args.low_watermark,

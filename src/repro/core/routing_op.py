@@ -158,9 +158,10 @@ class RoutingOperator:
     def tosparse(self):
         """The backing SciPy CSR matrix, or ``None`` on the dense backend.
 
-        Presolve and the shared-memory publisher use this to reach the
-        native storage without a dense round trip; treat the result as
-        read-only.
+        Presolve, decomposition, input validation and the routing
+        digests (warm-start fingerprints, the daemon's cache key) use
+        this to reach the native storage without a dense round trip;
+        treat the result as read-only.
         """
         return None
 

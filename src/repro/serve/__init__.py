@@ -15,7 +15,7 @@ all of that resident and answers repeat questions from warm state:
 * :mod:`~repro.serve.cache` — TTL + LRU certified-result cache with
   an fsynced JSONL journal for restart re-warming;
 * :mod:`~repro.serve.server` — the asyncio daemon: single-flight
-  request coalescing, micro-batching through the process pool, spans and
+  request coalescing, warm-chain solves on a thread executor, spans and
   latency histograms on every request;
 * :mod:`~repro.serve.client` — the blocking client behind
   ``netsampling request`` and the CLI's ``--daemon`` routing.

@@ -1,4 +1,4 @@
-"""The asyncio solver daemon: warm state + cache + coalescing + batching.
+"""The asyncio solver daemon: warm state + cache + coalescing.
 
 :class:`SolverServer` listens on a local Unix socket and answers the
 newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  The
@@ -15,11 +15,10 @@ request path, in order:
    to its future (``cache: "coalesced"``; counter
    ``serve.request.coalesced``) — N identical concurrent requests
    perform exactly one solve;
-5. **batch or solve** — batchable solves (exact gradient projection)
-   park in a micro-batch window; if enough distinct requests are
-   queued they fan out through the process pool via
-   :func:`~repro.core.batch.solve_batch`, otherwise each runs
-   warm-chained on the executor;
+5. **solve** — every other admitted request solves on the executor,
+   warm-started from the resident chain of its task and solver
+   configuration, so distinct concurrent misses run side by side on
+   their warm chains;
 6. **certify + cache** — converged, non-degraded, full-fidelity
    (``tier == "exact"``) results (always carrying their optimality
    certificate) enter the cache and, when configured, the fsynced
@@ -51,8 +50,8 @@ Production hardening (see :mod:`repro.serve.admission`):
   and exit.
 
 Observability: the server holds a long-lived span recorder, wraps
-every request in a ``serve.request`` span (pool workers stitch their
-subtrees under it via the PR 7 machinery), times every answer into
+every request in a ``serve.request`` span (the executor thread's
+solver spans nest under it), times every answer into
 the ``serve.request.latency`` histogram (p50/p95/p99) plus a
 per-tier ``serve.request.latency.<tier>`` histogram, and exposes
 everything — admission state included — through the ``stats`` and
@@ -97,7 +96,7 @@ from .protocol import (
     encode_message,
     normalize_params,
 )
-from .session import PreparedRequest, SolverSession, solution_payload
+from .session import PreparedRequest, SolverSession
 
 logger = get_logger(__name__)
 
@@ -114,14 +113,6 @@ class ServerConfig:
     max_resident_tasks: int = 8
     max_warm_chains: int = 16
     journal_path: str | None = None
-    #: Distinct queued batchable solves that trigger one
-    #: :func:`~repro.core.batch.solve_batch` fan-out instead of
-    #: individual warm-chain solves.
-    batch_min: int = 3
-    #: How long the first queued solve waits for company before the
-    #: batcher commits.  Cache hits and coalesced requests never pay
-    #: this; set 0 to disable grouping entirely.
-    batch_window_s: float = 0.004
     executor_workers: int = 4
     label: str = "serve"
     #: Admission high watermark: pending solves at which new solves
@@ -184,7 +175,7 @@ class _Connection:
 
 
 class SolverServer:
-    """One daemon: asyncio front, thread executor + process pool back."""
+    """One daemon: asyncio front, thread executors back."""
 
     def __init__(
         self, config: ServerConfig, session: SolverSession | None = None
@@ -212,9 +203,7 @@ class SolverServer:
         )
         self._journal = journal
         self._inflight: dict[str, asyncio.Future] = {}
-        self._batch_queue: asyncio.Queue[_Job] | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._batcher: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor = None
         self._prep_executor = None
@@ -235,7 +224,6 @@ class SolverServer:
         from concurrent.futures import ThreadPoolExecutor
 
         self._loop = asyncio.get_running_loop()
-        self._batch_queue = asyncio.Queue()
         self._stopping = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.executor_workers,
@@ -267,7 +255,6 @@ class SolverServer:
             path=socket_path,
             limit=self.config.max_frame_bytes,
         )
-        self._batcher = asyncio.create_task(self._batch_loop())
         self._started_s = time.time()
         logger.info("serving on %s", socket_path)
 
@@ -301,15 +288,6 @@ class SolverServer:
         self._begin_drain()
         if self._server is not None:
             await self._server.wait_closed()
-        # Shed solves still parked in the micro-batch window: their
-        # awaiting request tasks resolve with ``draining`` errors.
-        if self._batch_queue is not None:
-            while True:
-                try:
-                    job = self._batch_queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                self._fail(job, DrainingError("daemon draining"))
         # Let in-flight request tasks finish (solve + response write),
         # bounded by the hard drain timeout.
         pending = {t for t in self._request_tasks if not t.done()}
@@ -325,12 +303,6 @@ class SolverServer:
                 for task in still_pending:
                     task.cancel()
                 await asyncio.gather(*still_pending, return_exceptions=True)
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         if self._prep_executor is not None:
@@ -435,7 +407,11 @@ class SolverServer:
         writer.close()
         try:
             await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except (ConnectionResetError, BrokenPipeError, OSError,
+                asyncio.CancelledError):
+            # Cancelled: loop teardown caught the close mid-flight; the
+            # transport is already closing, and a cancelled connection
+            # task would be logged as an unhandled callback error.
             pass
 
     async def _serve_line(self, conn: _Connection, line: bytes) -> None:
@@ -724,18 +700,7 @@ class SolverServer:
             deadline=deadline,
         )
         try:
-            if (
-                deadline is None
-                and self.config.batch_window_s > 0
-                and self.config.batch_min > 1
-                and self.session.solve_batchable(prepared)
-            ):
-                # Deadline-bearing solves skip the batch window: the
-                # window plus pool fan-out adds latency the budget may
-                # not have.
-                await self._batch_queue.put(job)
-            else:
-                asyncio.create_task(self._run_single(job))
+            asyncio.create_task(self._run_job(job))
             result = await asyncio.shield(future)
         finally:
             self._inflight.pop(prepared.key, None)
@@ -776,7 +741,7 @@ class SolverServer:
                 )
 
         future.add_done_callback(_done)
-        asyncio.create_task(self._run_single(job))
+        asyncio.create_task(self._run_job(job))
 
     def _solve_in_thread(self, job: _Job) -> dict:
         # Everything that reaches this point without having started is
@@ -794,7 +759,16 @@ class SolverServer:
                 deadline_fallback=self.config.deadline_fallback,
             )
 
-    def _finish(self, job: _Job, result: dict) -> None:
+    async def _run_job(self, job: _Job) -> None:
+        """Solve ``job`` on the executor; cache a certified answer."""
+        try:
+            result = await self._loop.run_in_executor(
+                self._executor, self._solve_in_thread, job
+            )
+        except Exception as exc:
+            if not job.future.done():
+                job.future.set_exception(exc)
+            return
         if (
             job.generation == self._generation
             and result.get("converged")
@@ -806,74 +780,6 @@ class SolverServer:
             )
         if not job.future.done():
             job.future.set_result(result)
-
-    def _fail(self, job: _Job, exc: BaseException) -> None:
-        if not job.future.done():
-            job.future.set_exception(exc)
-
-    async def _run_single(self, job: _Job) -> None:
-        try:
-            result = await self._loop.run_in_executor(
-                self._executor, self._solve_in_thread, job
-            )
-        except Exception as exc:
-            self._fail(job, exc)
-        else:
-            self._finish(job, result)
-
-    async def _batch_loop(self) -> None:
-        """Micro-batch distinct batchable solves through the process pool."""
-        while True:
-            job = await self._batch_queue.get()
-            jobs = [job]
-            if self.config.batch_window_s > 0:
-                await asyncio.sleep(self.config.batch_window_s)
-            while True:
-                try:
-                    jobs.append(self._batch_queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            groups: dict[tuple, list[_Job]] = {}
-            for item in jobs:
-                coords = (item.prepared.params["presolve"],)
-                groups.setdefault(coords, []).append(item)
-            for (presolve,), group in groups.items():
-                if len(group) >= self.config.batch_min:
-                    asyncio.create_task(self._run_batch(group, presolve))
-                else:
-                    for item in group:
-                        asyncio.create_task(self._run_single(item))
-
-    async def _run_batch(self, group: list[_Job], presolve: bool) -> None:
-        from ..core.batch import solve_batch
-
-        METRICS.increment("serve.batch.grouped")
-        METRICS.increment("serve.batch.batched_requests", len(group))
-        problems = [item.prepared.problem for item in group]
-
-        def _run() -> list:
-            if self._draining:
-                raise DrainingError("daemon draining")
-            with using_span_context(group[0].span_context):
-                with span("serve.batch", tasks=len(problems)):
-                    return solve_batch(problems, presolve=presolve)
-
-        try:
-            solutions = await self._loop.run_in_executor(
-                self._executor, _run
-            )
-        except Exception as exc:
-            for item in group:
-                self._fail(item, exc)
-            return
-        for item, solution in zip(group, solutions):
-            result = solution_payload(
-                solution,
-                item.prepared.link_names,
-                item.prepared.od_names,
-                backend="exact",
-            )
-            self._finish(item, result)
 
 
 async def _serve_main(config: ServerConfig) -> None:

@@ -547,14 +547,6 @@ class SolverSession:
             results = run_stream(trace, config)
         return stream_payload(results, link_names)
 
-    def solve_batchable(self, prepared: PreparedRequest) -> bool:
-        """Whether this request may ride the pooled ``solve_batch`` path."""
-        return (
-            prepared.op == "solve"
-            and prepared.params["backend"] == "exact"
-            and prepared.params["method"] == "gradient_projection"
-        )
-
     # -- lifecycle ----------------------------------------------------
 
     def invalidate(self, topology: str | None = None) -> int:

@@ -199,9 +199,7 @@ class TestOverloadE2E:
     def test_real_backlog_past_the_watermark_sheds(self, tmp_path):
         # One solve slot; the first solve hangs on the injected slow
         # site, so the concurrent second distinct solve must shed.
-        config = _config(
-            tmp_path, max_pending=1, low_watermark=1, batch_window_s=0.0
-        )
+        config = _config(tmp_path, max_pending=1, low_watermark=1)
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -238,9 +236,7 @@ class TestOverloadE2E:
         assert health["status"] in ("ok", "shedding")
 
     def test_cache_hits_are_never_shed_during_overload(self, tmp_path):
-        config = _config(
-            tmp_path, max_pending=1, low_watermark=1, batch_window_s=0.0
-        )
+        config = _config(tmp_path, max_pending=1, low_watermark=1)
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -305,9 +301,7 @@ class TestDeadlineE2E:
     def test_deadline_exceeded_is_structured_with_elapsed_and_budget(
         self, tmp_path
     ):
-        config = _config(
-            tmp_path, deadline_fallback=False, batch_window_s=0.0
-        )
+        config = _config(tmp_path, deadline_fallback=False)
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -327,7 +321,7 @@ class TestDeadlineE2E:
         assert stats["counters"]["serve.deadline.exceeded"] == 1
 
     def test_generous_deadline_still_answers_exact(self, tmp_path):
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         with ServerThread(config):
             response = _client(config).request(
                 "solve", SOLVE, deadline_ms=60_000.0
@@ -341,7 +335,7 @@ class TestDeadlineE2E:
         # Deterministic stand-in for budget exhaustion: the exact
         # solve fails under a deadline, and the armed fallback answers
         # from the certified-gap approx backend instead of erroring.
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         plan = FaultPlan(specs=(FaultSpec(SITE_SOLVE_RAISE, hits={0}),))
         with ServerThread(config) as thread, injected_faults(plan):
             client = _client(config)
@@ -370,7 +364,7 @@ class TestDeadlineE2E:
     ):
         # The fallback arms only when the request carries a budget:
         # an un-deadlined exact solve keeps strict error semantics.
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         plan = FaultPlan(specs=(FaultSpec(SITE_SOLVE_RAISE, hits={0}),))
         with ServerThread(config), injected_faults(plan):
             with pytest.raises(ServeRequestError) as excinfo:
@@ -420,9 +414,7 @@ class TestDrain:
     def test_drain_completes_in_flight_and_sheds_queued(self, tmp_path):
         # One worker: the first solve hangs mid-flight on the slow
         # site while the second sits queued-unstarted behind it.
-        config = _config(
-            tmp_path, executor_workers=1, batch_window_s=0.0
-        )
+        config = _config(tmp_path, executor_workers=1)
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -460,9 +452,7 @@ class TestDrain:
         assert not daemon_available(config.socket_path)
 
     def test_new_work_is_refused_while_draining(self, tmp_path):
-        config = _config(
-            tmp_path, executor_workers=1, batch_window_s=0.0
-        )
+        config = _config(tmp_path, executor_workers=1)
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -507,7 +497,6 @@ class TestSigtermDrain:
             sys.executable, "-c",
             "from repro.cli import main; raise SystemExit(main())",
             "serve", "--socket", socket_path, "--journal", journal,
-            "--batch-window", "0",
         ]
 
         def _spawn() -> subprocess.Popen:

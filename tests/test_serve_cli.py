@@ -124,8 +124,3 @@ class TestServeCommand:
         with pytest.raises(SystemExit, match="--ttl must be positive"):
             main(["serve", "--socket", str(tmp_path / "s.sock"),
                   "--ttl", "0"])
-
-    def test_rejects_negative_batch_window(self, tmp_path):
-        with pytest.raises(SystemExit, match="--batch-window"):
-            main(["serve", "--socket", str(tmp_path / "s.sock"),
-                  "--batch-window", "-1"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.verify import (
@@ -130,6 +130,9 @@ class TestStreamPairs:
 
 class TestReferenceCrossCheck:
     @given(seed=st.integers(0, 2**32 - 1))
+    # Newton on the free-block slice used to spend its step budget a
+    # hair above the stationarity exit and reject the optimal partition.
+    @example(seed=758)
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_gp_matches_brute_force_and_slsqp(self, seed):
