@@ -41,10 +41,13 @@ Examples::
     netsampling request drain --socket /tmp/ns.sock
     netsampling request shutdown --socket /tmp/ns.sock
 
-``solve`` and ``sweep`` accept ``--daemon SOCKET`` to route through a
-running ``netsampling serve`` daemon (warm caches, millisecond repeat
-answers) and fall back to the inline solver — with a stderr warning —
-when the socket is absent, so scripts work unchanged either way.
+``solve``, ``sweep`` and ``stream`` build one request dict and run it
+through the daemon's own :class:`~repro.serve.session.SolverSession`
+in-process.  ``--daemon SOCKET`` only changes the transport: the same
+request goes to a running ``netsampling serve`` daemon (warm caches,
+millisecond repeat answers), and the command falls back inline — with
+a stderr warning — when the socket is absent, so scripts work
+unchanged either way and both routes print the same output.
 
 Results go to stdout; diagnostics (``--log-level``) and trace-written
 notices go to stderr, so ``--json`` output stays machine-parseable.
@@ -61,11 +64,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from .baselines import solve_restricted
-from .core import SamplingProblem, quantize_solution, solve
+from .core import quantize_solution, solve
 from .experiments.runner import EXPERIMENTS
 from .obs import (
     SolverTrace,
@@ -82,18 +86,8 @@ from .obs import (
     tracing,
     write_manifest,
 )
-from .routing import ODPair
-from .scale import BACKEND_ALIASES, BACKEND_NAMES
-from .topology import (
-    Network,
-    abilene_network,
-    geant_network,
-    load_network,
-    network_to_edge_list,
-    network_to_json,
-    nsfnet_network,
-)
-from .traffic import janet_task, make_task
+from .scale import BACKEND_NAMES, solve_scaled
+from .topology import network_to_edge_list, network_to_json
 
 __all__ = ["main", "build_parser"]
 
@@ -101,40 +95,18 @@ logger = get_logger("cli")
 
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 
-_BUILTIN_TOPOLOGIES = {
-    "geant": geant_network,
-    "abilene": abilene_network,
-    "nsfnet": nsfnet_network,
+#: Help texts of the task flags, by flag.
+_TASK_FLAG_HELP = {
+    "--topology": "geant, abilene, or a JSON file (default: geant)",
+    "--od": "OD pair of interest (repeatable); on geant defaults to the "
+            "paper's JANET task",
+    "--task-file": "declarative task document (overrides "
+                   "--topology/--od/--background)",
+    "--background": "gravity background traffic in pkt/s",
+    "--seed": "seed for the gravity background",
+    "--interval": "measurement interval in seconds (default 300)",
+    "--alpha": "per-link max sampling rate (default 1.0)",
 }
-
-
-def _resolve_topology(name: str) -> Network:
-    """A built-in topology name or a JSON file path."""
-    builder = _BUILTIN_TOPOLOGIES.get(name.lower())
-    if builder is not None:
-        return builder()
-    try:
-        return load_network(name)
-    except OSError as exc:
-        raise SystemExit(
-            f"unknown topology {name!r}: not a built-in "
-            f"({', '.join(_BUILTIN_TOPOLOGIES)}) and not a readable file "
-            f"({exc})"
-        )
-
-
-def _parse_od(spec: str) -> tuple[str, str, float]:
-    """Parse an ``ORIGIN:DEST:PPS`` OD-pair specification."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise SystemExit(f"bad --od {spec!r}: expected ORIGIN:DEST:PPS")
-    try:
-        pps = float(parts[2])
-    except ValueError:
-        raise SystemExit(f"bad --od {spec!r}: PPS must be a number")
-    if pps <= 0:
-        raise SystemExit(f"bad --od {spec!r}: PPS must be positive")
-    return parts[0], parts[1], pps
 
 
 def _add_log_level(parser: argparse.ArgumentParser, default=None) -> None:
@@ -144,6 +116,38 @@ def _add_log_level(parser: argparse.ArgumentParser, default=None) -> None:
         help="stderr logging threshold (debug, info, warning, error)",
         **kwargs,
     )
+
+
+def _add_task_flags(
+    parser: argparse.ArgumentParser,
+    topology: str | None = "geant",
+    interval: float = 300.0,
+    helps: dict = _TASK_FLAG_HELP,
+    daemon: bool = True,
+) -> None:
+    """The request flags ``solve``, ``sweep``, ``stream`` and ``request`` share.
+
+    ``helps`` maps a flag to its help text (absent: none); ``daemon``
+    adds ``--daemon``, which ``request`` replaces with ``--socket``.
+    """
+    for flag, kwargs in (
+        ("--topology", {"default": topology}),
+        ("--od", {"action": "append", "default": [],
+                  "metavar": "ORIGIN:DEST:PPS"}),
+        ("--task-file", {"default": None, "metavar": "FILE.json"}),
+        ("--background", {"type": float, "default": None}),
+        ("--seed", {"type": int, "default": None}),
+        ("--interval", {"type": float, "default": interval}),
+        ("--alpha", {"type": float, "default": 1.0}),
+    ):
+        parser.add_argument(flag, help=helps.get(flag), **kwargs)
+    parser.add_argument("--json", action="store_true", dest="as_json",
+                        help="machine-readable output")
+    if daemon:
+        parser.add_argument("--daemon", default=None, metavar="SOCKET",
+                            help="route through a running `netsampling "
+                                 "serve` daemon (falls back inline, with a "
+                                 "warning, when the socket is unreachable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,25 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     slv = sub.add_parser("solve", help="optimize placement and rates")
-    slv.add_argument("--topology", default="geant",
-                     help="geant, abilene, or a JSON file (default: geant)")
     slv.add_argument("--theta", type=float, required=True,
                      help="capacity: max sampled packets per interval")
-    slv.add_argument("--interval", type=float, default=300.0,
-                     help="measurement interval in seconds (default 300)")
-    slv.add_argument("--alpha", type=float, default=1.0,
-                     help="per-link max sampling rate (default 1.0)")
-    slv.add_argument("--od", action="append", default=[],
-                     metavar="ORIGIN:DEST:PPS",
-                     help="OD pair of interest (repeatable); on geant "
-                          "defaults to the paper's JANET task")
-    slv.add_argument("--task-file", default=None, metavar="FILE.json",
-                     help="declarative task document (overrides "
-                          "--topology/--od/--background)")
-    slv.add_argument("--background", type=float, default=None,
-                     help="gravity background traffic in pkt/s")
-    slv.add_argument("--seed", type=int, default=None,
-                     help="seed for the gravity background")
     slv.add_argument("--method", default="gradient_projection",
                      choices=("gradient_projection", "slsqp", "trust-constr"))
     slv.add_argument("--backend", default="exact", choices=BACKEND_NAMES,
@@ -202,44 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
                      help="only links leaving NODE may host monitors")
     slv.add_argument("--quantize", action="store_true",
                      help="round rates to deployable 1-in-N sampling")
-    slv.add_argument("--json", action="store_true", dest="as_json",
-                     help="machine-readable output")
     slv.add_argument("--trace-out", default=None, metavar="FILE.jsonl",
                      help="write a per-iteration run manifest "
                           "(trace + metrics + fingerprint) as JSONL")
-    slv.add_argument("--daemon", default=None, metavar="SOCKET",
-                     help="route through a running `netsampling serve` "
-                          "daemon (falls back inline, with a warning, "
-                          "when the socket is unreachable)")
+    _add_task_flags(slv)
     _add_log_level(slv)
 
     swp = sub.add_parser(
         "sweep",
         help="solve a θ capacity sweep (resumable; --chaos self-check)",
     )
-    swp.add_argument("--topology", default="geant",
-                     help="geant, abilene, or a JSON file (default: geant)")
     swp.add_argument("--theta-min", type=float, required=True,
                      help="smallest capacity in the sweep")
     swp.add_argument("--theta-max", type=float, required=True,
                      help="largest capacity in the sweep")
     swp.add_argument("--points", type=int, default=10,
                      help="number of geometrically spaced θ points")
-    swp.add_argument("--interval", type=float, default=300.0,
-                     help="measurement interval in seconds (default 300)")
-    swp.add_argument("--alpha", type=float, default=1.0,
-                     help="per-link max sampling rate (default 1.0)")
-    swp.add_argument("--od", action="append", default=[],
-                     metavar="ORIGIN:DEST:PPS",
-                     help="OD pair of interest (repeatable); on geant "
-                          "defaults to the paper's JANET task")
-    swp.add_argument("--task-file", default=None, metavar="FILE.json",
-                     help="declarative task document (overrides "
-                          "--topology/--od/--background)")
-    swp.add_argument("--background", type=float, default=None,
-                     help="gravity background traffic in pkt/s")
-    swp.add_argument("--seed", type=int, default=None,
-                     help="seed for the gravity background")
     swp.add_argument("--method", default="gradient_projection",
                      choices=("gradient_projection", "slsqp", "trust-constr"))
     swp.add_argument("--presolve", action=argparse.BooleanOptionalAction,
@@ -260,38 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "unfaulted rates exactly")
     swp.add_argument("--chaos-seed", type=int, default=0,
                      help="seed for the injected fault schedule (default 0)")
-    swp.add_argument("--json", action="store_true", dest="as_json",
-                     help="machine-readable output")
-    swp.add_argument("--daemon", default=None, metavar="SOCKET",
-                     help="route through a running `netsampling serve` "
-                          "daemon (falls back inline, with a warning, "
-                          "when the socket is unreachable)")
+    _add_task_flags(swp)
     _add_log_level(swp)
 
     stm = sub.add_parser(
         "stream",
         help="run the streaming re-optimization loop over a traffic trace",
     )
-    stm.add_argument("--topology", default="geant",
-                     help="geant, abilene, or a JSON file (default: geant)")
     stm.add_argument("--theta", type=float, required=True,
                      help="capacity: max sampled packets per interval")
-    stm.add_argument("--interval", type=float, default=3600.0,
-                     help="measurement interval in seconds (default 3600: "
-                          "one diurnal hour per interval)")
-    stm.add_argument("--alpha", type=float, default=1.0,
-                     help="per-link max sampling rate (default 1.0)")
-    stm.add_argument("--od", action="append", default=[],
-                     metavar="ORIGIN:DEST:PPS",
-                     help="OD pair of interest (repeatable); on geant "
-                          "defaults to the paper's JANET task")
-    stm.add_argument("--task-file", default=None, metavar="FILE.json",
-                     help="declarative task document (overrides "
-                          "--topology/--od/--background)")
-    stm.add_argument("--background", type=float, default=None,
-                     help="gravity background traffic in pkt/s")
-    stm.add_argument("--seed", type=int, default=None,
-                     help="seed for the gravity background")
     stm.add_argument("--intervals", type=int, default=24,
                      help="number of trace intervals to stream (default 24)")
     stm.add_argument("--noise", type=float, default=0.05,
@@ -311,12 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="OD:MAGNITUDE:START:DURATION",
                      help="inject one traffic anomaly: OD index spikes by "
                           "MAGNITUDE for DURATION intervals from START")
-    stm.add_argument("--json", action="store_true", dest="as_json",
-                     help="machine-readable output")
-    stm.add_argument("--daemon", default=None, metavar="SOCKET",
-                     help="route through a running `netsampling serve` "
-                          "daemon (falls back inline, with a warning, "
-                          "when the socket is unreachable)")
+    _add_task_flags(stm, interval=3600.0, helps={
+        **_TASK_FLAG_HELP,
+        "--interval": "measurement interval in seconds (default 3600: "
+                      "one diurnal hour per interval)",
+    })
     _add_log_level(stm)
 
     exp = sub.add_parser("experiments", help="regenerate paper experiments")
@@ -451,17 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "connection failures, with jittered backoff "
                           "honoring retry_after_ms (default 0; "
                           "invalidate/drain/shutdown never retry)")
-    req.add_argument("--topology", default=None,
-                     help="task topology (solve/sweep/invalidate; "
-                          "default geant, or all entries for invalidate)")
-    req.add_argument("--od", action="append", default=[],
-                     metavar="ORIGIN:DEST:PPS",
-                     help="OD pair of interest (repeatable)")
-    req.add_argument("--task-file", default=None, metavar="FILE.json")
-    req.add_argument("--background", type=float, default=None)
-    req.add_argument("--seed", type=int, default=None)
-    req.add_argument("--interval", type=float, default=300.0)
-    req.add_argument("--alpha", type=float, default=1.0)
     req.add_argument("--theta", type=float, default=None,
                      help="capacity for op=solve")
     req.add_argument("--theta-min", type=float, default=None,
@@ -491,14 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
                      default=True)
     req.add_argument("--path", default=None, metavar="FILE.jsonl",
                      help="output manifest for op=dump-trace")
-    req.add_argument("--json", action="store_true", dest="as_json",
-                     help="machine-readable output")
+    _add_task_flags(req, topology=None, daemon=False, helps={
+        "--topology": "task topology (solve/sweep/invalidate; default "
+                      "geant, or all entries for invalidate)",
+        "--od": "OD pair of interest (repeatable)",
+    })
     _add_log_level(req)
     return parser
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    net = _resolve_topology(args.name)
+    from .serve.session import resolve_topology
+
+    net = _or_exit(resolve_topology, args.name)
     if args.topology_command == "show":
         print(f"{net.name}: {net.num_nodes} nodes, {net.num_links} links")
         for node in net.nodes:
@@ -512,183 +447,193 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_task(args: argparse.Namespace):
-    """The measurement task shared by ``solve`` and ``sweep``.
+def _or_exit(call, *args):
+    """``call(*args)``, with a bad-input ``ValueError`` as a usage error.
 
-    Resolution order: an explicit ``--task-file``, then ``--od`` specs
-    on the chosen topology, then the paper's JANET task on GEANT.
+    Covers the protocol's ``ProtocolError`` (a ``ValueError``) from the
+    param normalizers and the session's unbuildable-task errors.
     """
-    if args.task_file:
-        from .traffic import load_task_file
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
-        try:
-            return load_task_file(args.task_file, _resolve_topology)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc))
-    if args.od:
-        net = _resolve_topology(args.topology)
-        specs = [_parse_od(spec) for spec in args.od]
-        od_pairs = [ODPair(o, d) for o, d, _ in specs]
-        sizes = [pps for _, _, pps in specs]
-        return make_task(
-            net, od_pairs, sizes,
-            background_pps=args.background or 0.0,
-            interval_seconds=args.interval,
-            seed=args.seed,
-        )
-    if args.topology.lower() == "geant":
-        kwargs = {"interval_seconds": args.interval}
-        if args.background is not None:
-            kwargs["background_pps"] = args.background
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return janet_task(**kwargs)
-    raise SystemExit(
-        "--od is required for non-GEANT topologies (GEANT defaults to "
-        "the paper's JANET task)"
+
+@contextmanager
+def _run_manifest(path: str | None, label: str):
+    """Trace, meter and span the block into a run manifest at ``path``.
+
+    Yields the :func:`write_manifest` keywords for the block to fill in
+    (``fingerprint``, ``extra``; ``label`` may be replaced).  Records
+    nothing when ``path`` is None.
+    """
+    fields = {"label": label}
+    if path is None:
+        yield fields
+        return
+    trace = SolverTrace()
+    with tracing(trace), collecting_metrics() as registry, \
+            collecting_spans(label) as recorder:
+        yield fields
+        metrics = registry.snapshot()
+    trace.label = fields.pop("label")
+    written = write_manifest(
+        path, trace, metrics=metrics, spans=recorder.spans, **fields
     )
+    logger.info("run manifest written to %s", written)
+    print(f"[trace written {written}]", file=sys.stderr)
+
+
+_INLINE_VERB = {"solve": "solving", "sweep": "sweeping", "stream": "streaming"}
+
+
+def _via_daemon(
+    args: argparse.Namespace, op: str, params: dict,
+    cli_only: dict | None = None,
+) -> dict | None:
+    """Send one request to ``--daemon``; its result, or None to run inline.
+
+    ``cli_only`` maps the flags only the inline route implements to
+    their values; ``--daemon`` rejects each one that is set.
+    """
+    from .serve.client import (
+        ServeClient,
+        ServeConnectionError,
+        ServeRequestError,
+    )
+
+    unsupported = [flag for flag, value in (cli_only or {}).items() if value]
+    if unsupported:
+        raise SystemExit(
+            f"--daemon {op}s do not support {', '.join(unsupported)}; "
+            f"drop the flag or {op} inline"
+        )
+    try:
+        response = ServeClient(args.daemon).request(op, params)
+    except ServeConnectionError as exc:
+        logger.warning("%s; %s inline", exc, _INLINE_VERB[op])
+        print(f"[daemon unavailable ({exc}); {_INLINE_VERB[op]} inline]",
+              file=sys.stderr)
+        return None
+    except ServeRequestError as exc:
+        raise SystemExit(f"daemon error: {exc}")
+    latency_ms = float(response.get("latency_s") or 0.0) * 1e3
+    print(
+        f"[daemon {args.daemon}: cache {response.get('cache', '?')}, "
+        f"{latency_ms:.1f} ms]",
+        file=sys.stderr,
+    )
+    return response["result"]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    args.backend = BACKEND_ALIASES.get(args.backend, args.backend)
+    from .serve.protocol import solve_params_from_args
+
+    params = _or_exit(solve_params_from_args, args)
     if args.daemon:
-        code = _solve_via_daemon(args)
-        if code is not None:
-            return code
-    task = _build_task(args)
-    problem = SamplingProblem.from_task(task, args.theta, alpha=args.alpha)
-    if args.backend != "exact" and args.restrict_to_node:
+        result = _via_daemon(args, "solve", params, cli_only={
+            "--restrict-to-node": args.restrict_to_node,
+            "--quantize": args.quantize,
+            "--trace-out": args.trace_out,
+        })
+        if result is not None:
+            return _print_result("solve", result, args.as_json)
+    if params["backend"] != "exact" and args.restrict_to_node:
         raise SystemExit(
             "--backend only applies to the network-wide solve; "
             "--restrict-to-node always uses exact GP"
         )
-    if args.backend != "exact" and args.method != "gradient_projection":
-        raise SystemExit(
-            "--backend replaces the solver; drop --method or use "
-            "--backend exact"
+    # The ambient trace also captures nested solves (restricted,
+    # quantization refinement) without parameter plumbing.
+    with _run_manifest(args.trace_out, "solve") as manifest:
+        prepared, result = _solve_inline(args, params)
+        manifest["label"] = f"solve:{prepared.task.network.name}"
+        manifest["fingerprint"] = fingerprint_problem(
+            prepared.problem,
+            topology=prepared.task.network.name,
+            seed=params["seed"],
+            method=params["method"],
+            alpha=params["alpha"],
         )
+    return _print_result("solve", result, args.as_json)
+
+
+def _solve_inline(args: argparse.Namespace, params: dict) -> tuple:
+    """(prepared request, result payload) of one in-process solve.
+
+    The session solves plain requests exactly as the daemon does;
+    ``--restrict-to-node`` and ``--quantize`` take its task and problem
+    to the solvers only the CLI offers.
+    """
+    from .serve.session import SolverSession, solution_payload
+
+    session = SolverSession(max_tasks=1, max_warm=1)
+    prepared = _or_exit(session.prepare, "solve", params)
+    problem = prepared.problem
     logger.info(
         "solving %s: %d links, %d OD pairs, theta=%g, method=%s, backend=%s",
-        task.network.name, problem.num_links, problem.num_od_pairs,
-        args.theta, args.method, args.backend,
+        prepared.task.network.name, problem.num_links, problem.num_od_pairs,
+        params["theta"], params["method"], params["backend"],
     )
-
-    def _run_solve() -> object:
-        if args.restrict_to_node:
-            links = [
-                link.index
-                for link in task.network.out_links(args.restrict_to_node)
-            ]
-            solution = solve_restricted(
-                problem, links, method=args.method, presolve=args.presolve
-            )
-        elif args.backend != "exact":
-            from .scale import solve_scaled
-
-            solution = solve_scaled(problem, backend=args.backend)
-        else:
-            solution = solve(problem, method=args.method, presolve=args.presolve)
-        if args.quantize:
-            solution = quantize_solution(problem, solution).solution
-        return solution
-
-    if args.trace_out:
-        # The ambient trace also captures nested solves (restricted,
-        # quantization refinement) without parameter plumbing; the
-        # span recorder stitches pooled/decomposed work into one tree.
-        trace = SolverTrace(label=f"solve:{task.network.name}")
-        with tracing(trace), collecting_metrics() as registry, \
-                collecting_spans(f"solve:{task.network.name}") as recorder:
-            solution = _run_solve()
-            metrics_snapshot = registry.snapshot()
-        manifest_path = write_manifest(
-            args.trace_out,
-            trace,
-            metrics=metrics_snapshot,
-            spans=recorder.spans,
-            fingerprint=fingerprint_problem(
-                problem,
-                topology=task.network.name,
-                seed=args.seed,
-                method=args.method,
-                alpha=args.alpha,
-            ),
+    if not (args.restrict_to_node or args.quantize):
+        return prepared, session.execute(prepared)
+    if args.restrict_to_node:
+        links = [
+            link.index
+            for link in prepared.task.network.out_links(args.restrict_to_node)
+        ]
+        solution = solve_restricted(
+            problem, links, method=params["method"],
+            presolve=params["presolve"],
         )
-        logger.info("run manifest written to %s", manifest_path)
-        print(f"[trace written {manifest_path}]", file=sys.stderr)
+    elif params["backend"] != "exact":
+        solution = solve_scaled(problem, backend=params["backend"])
     else:
-        solution = _run_solve()
-
-    logger.info(
-        "solved in %d iterations (%.4fs wall, %d line-search trials, "
-        "%d releases)",
-        solution.diagnostics.iterations,
-        solution.diagnostics.wall_time_s,
-        solution.diagnostics.line_search_evaluations,
-        solution.diagnostics.constraint_releases,
+        solution = solve(
+            problem, method=params["method"], presolve=params["presolve"]
+        )
+    if args.quantize:
+        solution = quantize_solution(problem, solution).solution
+    return prepared, solution_payload(
+        solution, prepared.link_names, prepared.od_names,
+        backend=params["backend"],
     )
-
-    names = [link.name for link in task.network.links]
-    if args.as_json:
-        payload = {
-            "converged": solution.diagnostics.converged,
-            "method": solution.diagnostics.method,
-            "backend": args.backend,
-            "optimality_gap": solution.diagnostics.optimality_gap,
-            "iterations": solution.diagnostics.iterations,
-            "wall_time_s": solution.diagnostics.wall_time_s,
-            "objective": solution.objective_value,
-            "budget_used_packets": solution.budget_used_packets,
-            "monitors": {
-                names[i]: solution.rates[i]
-                for i in solution.active_link_indices
-            },
-            "od_utilities": {
-                od.name: float(u)
-                for od, u in zip(task.routing.od_pairs, solution.od_utilities)
-            },
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(solution.summary(names))
-        worst = int(np.argmin(solution.od_utilities))
-        print(
-            f"worst OD pair: {task.routing.od_pairs[worst].name} "
-            f"(utility {solution.od_utilities[worst]:.4f})"
-        )
-    return 0 if solution.diagnostics.converged else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .core.batch import solve_theta_sweep
-    from .resilience import SupervisorPolicy
+    from .serve.protocol import sweep_params_from_args
+    from .serve.session import SolverSession, sweep_payload, sweep_thetas
 
+    params = _or_exit(sweep_params_from_args, args)
+    cli_only = {
+        "--checkpoint": args.checkpoint,
+        "--timeout": args.timeout is not None,
+        "--chaos": args.chaos,
+    }
     if args.daemon:
-        code = _sweep_via_daemon(args)
-        if code is not None:
-            return code
-
-    if args.theta_min <= 0 or args.theta_max < args.theta_min:
-        raise SystemExit("need 0 < --theta-min <= --theta-max")
-    if args.points < 2:
-        raise SystemExit("--points must be at least 2")
+        result = _via_daemon(args, "sweep", params, cli_only)
+        if result is not None:
+            return _print_result("sweep", result, args.as_json)
     if args.chaos and args.checkpoint:
         raise SystemExit("--chaos is a self-contained check; drop --checkpoint")
     if args.chaos and args.points < 4:
         raise SystemExit("--chaos needs --points >= 4 to exercise the pool")
 
-    task = _build_task(args)
-    thetas = [
-        float(t)
-        for t in np.geomspace(args.theta_min, args.theta_max, args.points)
-    ]
-    problem = SamplingProblem.from_task(task, thetas[0], alpha=args.alpha)
+    session = SolverSession(max_tasks=1, max_warm=1)
+    prepared = _or_exit(session.prepare, "sweep", params)
     logger.info(
         "sweeping %s: %d links, %d points in [%g, %g], method=%s",
-        task.network.name, problem.num_links, args.points,
-        args.theta_min, args.theta_max, args.method,
+        prepared.task.network.name, prepared.problem.num_links,
+        params["points"], params["theta_min"], params["theta_max"],
+        params["method"],
     )
+    if not any(cli_only.values()):
+        return _print_result("sweep", session.execute(prepared), args.as_json)
 
+    from .core.batch import solve_theta_sweep
+    from .resilience import SupervisorPolicy
+
+    thetas = sweep_thetas(params)
     policy = None
     if args.timeout is not None or args.chaos:
         policy = SupervisorPolicy(
@@ -696,35 +641,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_retries=args.retries,
         )
     if args.chaos:
-        return _run_chaos_sweep(args, problem, thetas, policy)
-
+        return _run_chaos_sweep(args, prepared.problem, thetas, policy)
     solutions = solve_theta_sweep(
-        problem, thetas, method=args.method, presolve=args.presolve,
-        policy=policy, checkpoint=args.checkpoint,
+        prepared.problem, thetas, method=params["method"],
+        presolve=params["presolve"], policy=policy,
+        checkpoint=args.checkpoint,
     )
-    names = [link.name for link in task.network.links]
-    if args.as_json:
-        payload = [
-            {
-                "theta_packets": theta,
-                "converged": s.diagnostics.converged,
-                "degraded": s.diagnostics.degraded,
-                "objective": s.objective_value,
-                "monitors": {
-                    names[i]: s.rates[i] for i in s.active_link_indices
-                },
-            }
-            for theta, s in zip(thetas, solutions)
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        for theta, s in zip(thetas, solutions):
-            status = "ok" if s.diagnostics.converged else "DEGRADED"
-            print(
-                f"theta={theta:>12.1f}  monitors={len(s.active_link_indices):>3d}  "
-                f"objective={s.objective_value:.6f}  [{status}]"
-            )
-    return 0 if all(s.diagnostics.converged for s in solutions) else 1
+    return _print_result(
+        "sweep", sweep_payload(prepared, thetas, solutions), args.as_json
+    )
 
 
 def _run_chaos_sweep(args, problem, thetas, policy) -> int:
@@ -828,7 +753,6 @@ def _run_chaos_sweep(args, problem, thetas, policy) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
     from pathlib import Path
 
     from .rng import get_default_seed, set_default_seed
@@ -841,34 +765,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     seed = args.seed if args.seed is not None else get_default_seed()
-    trace = SolverTrace(label=f"verify:{args.suite}")
-    scope = tracing(trace) if args.trace_out else nullcontext()
-    span_scope = (
-        collecting_spans(f"verify:{args.suite}")
-        if args.trace_out
-        else nullcontext()
-    )
-    with scope, collecting_metrics() as registry, span_scope as recorder:
+    with _run_manifest(args.trace_out, f"verify:{args.suite}") as manifest:
         report = run_verification(
             suite=args.suite, seed=seed, instances=args.instances
         )
-        metrics_snapshot = registry.snapshot()
-    payload = report.to_dict()
+        payload = report.to_dict()
+        manifest["extra"] = {"verify": payload}
 
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"[report written {args.report}]", file=sys.stderr)
-    if args.trace_out:
-        manifest_path = write_manifest(
-            args.trace_out,
-            trace,
-            metrics=metrics_snapshot,
-            # `is not None`: an empty SpanRecorder is falsy (len == 0).
-            spans=recorder.spans if recorder is not None else None,
-            extra={"verify": payload},
-        )
-        logger.info("run manifest written to %s", manifest_path)
-        print(f"[trace written {manifest_path}]", file=sys.stderr)
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:
@@ -877,7 +783,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
     from pathlib import Path
 
     from .experiments.runner import EXPORTERS
@@ -889,17 +794,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if export_dir is not None:
         export_dir.mkdir(parents=True, exist_ok=True)
 
-    trace = SolverTrace(label=f"experiments:{','.join(names)}")
-    scope = (
-        tracing(trace) if args.trace_out else nullcontext()
-    )
-    metrics_scope = (
-        collecting_metrics() if args.trace_out else nullcontext()
-    )
-    span_scope = (
-        collecting_spans("experiments") if args.trace_out else nullcontext()
-    )
-    with scope, metrics_scope as registry, span_scope as recorder:
+    label = f"experiments:{','.join(names)}"
+    with _run_manifest(args.trace_out, label) as manifest:
+        manifest["extra"] = {"experiments": names, "quick": args.quick}
         for name in names:
             logger.info("running experiment %s (quick=%s)", name, args.quick)
             print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
@@ -908,18 +805,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 for path in EXPORTERS[name](args.quick, export_dir):
                     logger.info("exported %s", path)
                     print(f"[exported {path}]")
-        metrics_snapshot = registry.snapshot() if registry else None
-    if args.trace_out:
-        manifest_path = write_manifest(
-            args.trace_out,
-            trace,
-            metrics=metrics_snapshot,
-            # `is not None`: an empty SpanRecorder is falsy (len == 0).
-            spans=recorder.spans if recorder is not None else None,
-            extra={"experiments": names, "quick": args.quick},
-        )
-        logger.info("run manifest written to %s", manifest_path)
-        print(f"[trace written {manifest_path}]", file=sys.stderr)
     return 0
 
 
@@ -958,8 +843,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_remote_solution(result: dict) -> str:
-    """Text summary of a daemon solve result (mirrors the inline shape)."""
+def _render_solution(result: dict) -> str:
+    """Text summary of one solve result payload."""
     status = "ok" if result["converged"] else "DEGRADED"
     gap = result.get("optimality_gap")
     head = (
@@ -984,112 +869,15 @@ def _render_remote_solution(result: dict) -> str:
     return "\n".join(lines)
 
 
-def _daemon_note(args, response: dict) -> None:
-    latency_ms = float(response.get("latency_s") or 0.0) * 1e3
-    print(
-        f"[daemon {args.daemon}: cache {response.get('cache', '?')}, "
-        f"{latency_ms:.1f} ms]",
-        file=sys.stderr,
+def _render_sweep(result: dict) -> str:
+    """One line per θ point of a sweep result payload."""
+    return "\n".join(
+        f"theta={point['theta_packets']:>12.1f}  "
+        f"monitors={point['num_monitors']:>3d}  "
+        f"objective={point['objective']:.6f}  "
+        f"[{'ok' if point['converged'] else 'DEGRADED'}]"
+        for point in result["points"]
     )
-
-
-def _solve_via_daemon(args: argparse.Namespace) -> int | None:
-    """Route ``solve --daemon`` through a running server.
-
-    Returns the exit code, or ``None`` (after a stderr warning) when
-    the daemon is unreachable and the caller should solve inline.
-    """
-    from .serve import (
-        ProtocolError,
-        ServeClient,
-        ServeConnectionError,
-        ServeRequestError,
-        solve_params_from_args,
-    )
-
-    unsupported = [
-        flag for flag, value in (
-            ("--restrict-to-node", args.restrict_to_node),
-            ("--quantize", args.quantize),
-            ("--trace-out", args.trace_out),
-        ) if value
-    ]
-    if unsupported:
-        raise SystemExit(
-            f"--daemon solves do not support {', '.join(unsupported)}; "
-            "drop the flag or solve inline"
-        )
-    try:
-        params = solve_params_from_args(args)
-    except (ProtocolError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    try:
-        response = ServeClient(args.daemon).request("solve", params)
-    except ServeConnectionError as exc:
-        logger.warning("%s; solving inline", exc)
-        print(f"[daemon unavailable ({exc}); solving inline]",
-              file=sys.stderr)
-        return None
-    except ServeRequestError as exc:
-        raise SystemExit(f"daemon error: {exc}")
-    result = response["result"]
-    if args.as_json:
-        print(json.dumps(result, indent=2))
-    else:
-        print(_render_remote_solution(result))
-        _daemon_note(args, response)
-    return 0 if result["converged"] else 1
-
-
-def _sweep_via_daemon(args: argparse.Namespace) -> int | None:
-    """Route ``sweep --daemon`` through a running server (or ``None``)."""
-    from .serve import (
-        ProtocolError,
-        ServeClient,
-        ServeConnectionError,
-        ServeRequestError,
-        sweep_params_from_args,
-    )
-
-    unsupported = [
-        flag for flag, value in (
-            ("--checkpoint", args.checkpoint),
-            ("--timeout", args.timeout is not None),
-            ("--chaos", args.chaos),
-        ) if value
-    ]
-    if unsupported:
-        raise SystemExit(
-            f"--daemon sweeps do not support {', '.join(unsupported)}; "
-            "drop the flag or sweep inline"
-        )
-    try:
-        params = sweep_params_from_args(args)
-    except (ProtocolError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    try:
-        response = ServeClient(args.daemon).request("sweep", params)
-    except ServeConnectionError as exc:
-        logger.warning("%s; sweeping inline", exc)
-        print(f"[daemon unavailable ({exc}); sweeping inline]",
-              file=sys.stderr)
-        return None
-    except ServeRequestError as exc:
-        raise SystemExit(f"daemon error: {exc}")
-    result = response["result"]
-    points = result["points"]
-    if args.as_json:
-        print(json.dumps(points, indent=2))
-    else:
-        for point in points:
-            status = "ok" if point["converged"] else "DEGRADED"
-            print(
-                f"theta={point['theta_packets']:>12.1f}  "
-                f"monitors={point['num_monitors']:>3d}  "
-                f"objective={point['objective']:.6f}  [{status}]"
-            )
-        _daemon_note(args, response)
-    return 0 if result["converged"] else 1
 
 
 def _render_stream_report(payload: dict) -> str:
@@ -1127,58 +915,44 @@ def _render_stream_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _stream_via_daemon(args: argparse.Namespace, params: dict) -> int | None:
-    """Route ``stream --daemon`` through a running server (or ``None``)."""
-    from .serve import ServeClient, ServeConnectionError, ServeRequestError
+_RENDERERS = {
+    "solve": _render_solution,
+    "sweep": _render_sweep,
+    "stream": _render_stream_report,
+}
 
-    try:
-        response = ServeClient(args.daemon).request("stream", params)
-    except ServeConnectionError as exc:
-        logger.warning("%s; streaming inline", exc)
-        print(f"[daemon unavailable ({exc}); streaming inline]",
-              file=sys.stderr)
-        return None
-    except ServeRequestError as exc:
-        raise SystemExit(f"daemon error: {exc}")
-    result = response["result"]
-    if args.as_json:
-        print(json.dumps(result, indent=2))
+
+def _print_result(op: str, result: dict, as_json: bool) -> int:
+    """Print a solve, sweep or stream result; exit 0 iff it converged.
+
+    ``--json`` prints the payload (a sweep's list of points), sorted by
+    key, exactly as the daemon's wire format carries it.
+    """
+    if as_json:
+        shown = result["points"] if op == "sweep" else result
+        print(json.dumps(shown, indent=2, sort_keys=True))
     else:
-        print(_render_stream_report(result))
-        _daemon_note(args, response)
+        print(_RENDERERS[op](result))
     return 0 if result["converged"] else 1
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .serve import ProtocolError, stream_params_from_args
+    from .serve.protocol import stream_params_from_args
     from .serve.session import SolverSession
 
-    try:
-        params = stream_params_from_args(args)
-    except (ProtocolError, ValueError) as exc:
-        raise SystemExit(str(exc))
+    params = _or_exit(stream_params_from_args, args)
     if args.daemon:
-        code = _stream_via_daemon(args, params)
-        if code is not None:
-            return code
+        result = _via_daemon(args, "stream", params)
+        if result is not None:
+            return _print_result("stream", result, args.as_json)
     logger.info(
         "streaming %s: %d intervals, theta=%g, reconfig_weight=%g",
         params["topology"], params["intervals"], params["theta"],
         params["reconfig_weight"],
     )
-    # The inline path runs the daemon's own session code, so the two
-    # routes can never drift apart.
-    try:
-        payload = SolverSession(max_tasks=1, max_warm=1).execute_stream(
-            params
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if args.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(_render_stream_report(payload))
-    return 0 if payload["converged"] else 1
+    session = SolverSession(max_tasks=1, max_warm=1)
+    result = _or_exit(session.execute_stream, params)
+    return _print_result("stream", result, args.as_json)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1219,44 +993,40 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
-    from .serve import (
-        ProtocolError,
+    from .serve.client import (
         ServeClient,
         ServeConnectionError,
         ServeRequestError,
+    )
+    from .serve.protocol import (
         solve_params_from_args,
         stream_params_from_args,
         sweep_params_from_args,
     )
 
     op = args.op.replace("-", "_")
-    try:
-        if op == "solve":
-            if args.theta is None:
-                raise SystemExit("request solve needs --theta")
-            params = solve_params_from_args(args)
-        elif op == "stream":
-            if args.theta is None:
-                raise SystemExit("request stream needs --theta")
-            params = stream_params_from_args(args)
-        elif op == "sweep":
-            if args.theta_min is None or args.theta_max is None:
-                raise SystemExit(
-                    "request sweep needs --theta-min and --theta-max"
-                )
-            params = sweep_params_from_args(args)
-        elif op == "invalidate":
-            params = (
-                {"topology": args.topology} if args.topology else {}
+    if op == "solve":
+        if args.theta is None:
+            raise SystemExit("request solve needs --theta")
+        params = _or_exit(solve_params_from_args, args)
+    elif op == "stream":
+        if args.theta is None:
+            raise SystemExit("request stream needs --theta")
+        params = _or_exit(stream_params_from_args, args)
+    elif op == "sweep":
+        if args.theta_min is None or args.theta_max is None:
+            raise SystemExit(
+                "request sweep needs --theta-min and --theta-max"
             )
-        elif op == "dump_trace":
-            if not args.path:
-                raise SystemExit("request dump-trace needs --path")
-            params = {"path": args.path}
-        else:
-            params = None
-    except (ProtocolError, ValueError) as exc:
-        raise SystemExit(str(exc))
+        params = _or_exit(sweep_params_from_args, args)
+    elif op == "invalidate":
+        params = {"topology": args.topology} if args.topology else {}
+    elif op == "dump_trace":
+        if not args.path:
+            raise SystemExit("request dump-trace needs --path")
+        params = {"path": args.path}
+    else:
+        params = None
 
     client = ServeClient(
         args.socket, timeout_s=args.timeout, max_retries=args.retries
@@ -1270,30 +1040,16 @@ def _cmd_request(args: argparse.Namespace) -> int:
     except ServeRequestError as exc:
         raise SystemExit(f"daemon error ({exc.kind}): {exc}")
     result = response.get("result", {})
-    if op == "solve" and not args.as_json:
-        print(_render_remote_solution(result))
-        print(
-            f"[cache {response.get('cache', '?')}, "
-            f"{float(response.get('latency_s') or 0.0) * 1e3:.1f} ms]",
-            file=sys.stderr,
-        )
-        return 0 if result["converged"] else 1
-    if op == "sweep" and not args.as_json:
-        for point in result["points"]:
-            status = "ok" if point["converged"] else "DEGRADED"
+    if op in _RENDERERS and not args.as_json:
+        if op == "solve":
             print(
-                f"theta={point['theta_packets']:>12.1f}  "
-                f"monitors={point['num_monitors']:>3d}  "
-                f"objective={point['objective']:.6f}  [{status}]"
+                f"[cache {response.get('cache', '?')}, "
+                f"{float(response.get('latency_s') or 0.0) * 1e3:.1f} ms]",
+                file=sys.stderr,
             )
-        return 0 if result["converged"] else 1
-    if op == "stream" and not args.as_json:
-        print(_render_stream_report(result))
-        return 0 if result["converged"] else 1
+        return _print_result(op, result, as_json=False)
     print(json.dumps(result, indent=2, sort_keys=True))
-    if op in ("solve", "sweep", "stream"):
-        return 0 if result["converged"] else 1
-    return 0
+    return 1 if op in _RENDERERS and not result["converged"] else 0
 
 
 def main(argv: list[str] | None = None) -> int:

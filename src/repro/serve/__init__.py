@@ -21,7 +21,12 @@ all of that resident and answers repeat questions from warm state:
   ``netsampling request`` and the CLI's ``--daemon`` routing.
 
 See ``docs/serving.md`` for the protocol and operational story.
+
+``server`` (asyncio) and ``client`` load on first use of one of their
+names, so the CLI's in-process solves import the session without them.
 """
+
+from importlib import import_module
 
 from .admission import (
     AdmissionController,
@@ -31,14 +36,6 @@ from .admission import (
     OverloadedError,
 )
 from .cache import CacheEntry, CacheJournal, ResultCache, fingerprint_key
-from .client import (
-    DaemonUnavailable,
-    ServeClient,
-    ServeConnectionError,
-    ServeError,
-    ServeRequestError,
-    daemon_available,
-)
 from .protocol import (
     ERROR_KINDS,
     OPS,
@@ -55,7 +52,6 @@ from .protocol import (
     stream_params_from_args,
     sweep_params_from_args,
 )
-from .server import ServerConfig, ServerThread, SolverServer, run_server
 from .session import (
     PreparedRequest,
     SolverSession,
@@ -64,6 +60,30 @@ from .session import (
     solution_payload,
     stream_payload,
 )
+
+#: Name -> submodule, for the names loaded on first use.
+_LAZY = {
+    "DaemonUnavailable": "client",
+    "ServeClient": "client",
+    "ServeConnectionError": "client",
+    "ServeError": "client",
+    "ServeRequestError": "client",
+    "daemon_available": "client",
+    "ServerConfig": "server",
+    "ServerThread": "server",
+    "SolverServer": "server",
+    "run_server": "server",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "PROTOCOL_VERSION",

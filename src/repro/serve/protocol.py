@@ -14,9 +14,11 @@ The param normalizers here are the single source of truth for request
 identity: the daemon fingerprints the *normalized* params, so two
 requests that spell the same problem differently (``theta=1e5`` vs
 ``theta=100000``, flags in any order) coalesce onto the same cache
-entry.  The CLI builds its ``--daemon`` payloads through
-:func:`solve_params_from_args` / :func:`sweep_params_from_args` so the
-inline and daemon paths can never drift apart.
+entry.  The CLI builds every ``solve``, ``sweep`` and ``stream``
+request through :func:`solve_params_from_args` /
+:func:`sweep_params_from_args` / :func:`stream_params_from_args` and
+runs it through the same session code inline or over ``--daemon``, so
+the two routes can never drift apart.
 
 ``deadline_ms`` is a *top-level* request field, deliberately outside
 ``params``: a deadline changes how hard the daemon may work on the
@@ -183,11 +185,12 @@ def _normalize_od(specs) -> list[list]:
 
 
 def normalize_task_params(params: dict) -> dict:
-    """Canonical form of the task-building params (see CLI resolution).
+    """Canonical form of the task-building params.
 
-    Resolution order downstream mirrors the CLI: ``task_file``, then
-    ``od`` specs on ``topology``, then the paper's JANET task on
-    GEANT.
+    :func:`repro.serve.session.build_task` resolves them in order:
+    ``task_file``, then ``od`` specs on ``topology``, then the paper's
+    JANET task on GEANT.  Only an absent (None) ``interval`` or
+    ``alpha`` takes the default; an explicit 0 is rejected.
     """
     task = {
         "topology": str(params.get("topology") or "geant"),
@@ -205,8 +208,10 @@ def normalize_task_params(params: dict) -> dict:
         "seed": (
             int(params["seed"]) if params.get("seed") is not None else None
         ),
-        "interval": float(params.get("interval") or 300.0),
-        "alpha": float(params.get("alpha") or 1.0),
+        "interval": float(
+            300.0 if params.get("interval") is None else params["interval"]
+        ),
+        "alpha": float(1.0 if params.get("alpha") is None else params["alpha"]),
     }
     if task["interval"] <= 0:
         raise ProtocolError("param 'interval' must be positive")
@@ -392,12 +397,21 @@ def task_params_from_args(args) -> dict:
 
 
 def _split_od(spec) -> tuple[str, str, float]:
+    """Parse one ``ORIGIN:DEST:PPS`` OD-pair spec (or a 3-item list)."""
     if isinstance(spec, (list, tuple)) and len(spec) == 3:
-        return str(spec[0]), str(spec[1]), float(spec[2])
-    parts = str(spec).split(":")
-    if len(parts) != 3:
-        raise ProtocolError(f"bad od spec {spec!r}: want ORIGIN:DEST:PPS")
-    return parts[0], parts[1], float(parts[2])
+        origin, dest, pps = spec
+    else:
+        parts = str(spec).split(":")
+        if len(parts) != 3:
+            raise ProtocolError(f"bad --od {spec!r}: expected ORIGIN:DEST:PPS")
+        origin, dest, pps = parts
+    try:
+        pps = float(pps)
+    except (TypeError, ValueError):
+        raise ProtocolError(f"bad --od {spec!r}: PPS must be a number")
+    if pps <= 0:
+        raise ProtocolError(f"bad --od {spec!r}: PPS must be positive")
+    return str(origin), str(dest), pps
 
 
 def solve_params_from_args(args) -> dict:

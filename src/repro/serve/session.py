@@ -1,7 +1,10 @@
 """Resident solver state: tasks, problems, warm chains, result identity.
 
-The daemon's whole advantage over the cold CLI is what this module
-keeps alive between requests:
+This is the one request path.  The daemon runs it for every request,
+and ``netsampling solve``, ``sweep`` and ``stream`` run it in-process
+(a one-task, one-chain :class:`SolverSession`) unless ``--daemon``
+sends the same params over the socket.  The daemon's whole advantage
+over a cold CLI call is what this module keeps alive between requests:
 
 * **Task cache** — built measurement tasks (topology + routing +
   gravity background), LRU-keyed by the canonical task params.  The
@@ -64,6 +67,8 @@ __all__ = [
     "PreparedRequest",
     "SolverSession",
     "solution_payload",
+    "sweep_thetas",
+    "sweep_payload",
     "stream_payload",
 ]
 
@@ -96,9 +101,9 @@ def resolve_topology(name: str) -> Network:
 def build_task(params: dict):
     """Build the measurement task for normalized task params.
 
-    Resolution order mirrors the CLI: an explicit ``task_file``, then
-    ``od`` specs on the chosen topology, then the paper's JANET task
-    on GEANT.  Raises :class:`ValueError` on unbuildable requests.
+    Resolution order: an explicit ``task_file``, then ``od`` specs on
+    the chosen topology, then the paper's JANET task on GEANT.  Raises
+    :class:`ValueError` on unbuildable requests.
     """
     if params.get("task_file"):
         try:
@@ -125,8 +130,8 @@ def build_task(params: dict):
             kwargs["seed"] = params["seed"]
         return janet_task(**kwargs)
     raise ValueError(
-        "'od' specs are required for non-GEANT topologies (GEANT "
-        "defaults to the paper's JANET task)"
+        "--od is required for non-GEANT topologies (GEANT defaults to "
+        "the paper's JANET task)"
     )
 
 
@@ -462,12 +467,7 @@ class SolverSession:
         if deadline is not None and deadline.expired:
             raise deadline.to_error()
         params = prepared.params
-        thetas = [
-            float(t)
-            for t in np.geomspace(
-                params["theta_min"], params["theta_max"], params["points"]
-            )
-        ]
+        thetas = sweep_thetas(params)
         with span(
             "serve.sweep", topology=params["topology"], points=len(thetas)
         ):
@@ -477,20 +477,7 @@ class SolverSession:
                 method=params["method"],
                 presolve=params["presolve"],
             )
-        points = []
-        for theta, solution in zip(thetas, solutions):
-            point = solution_payload(
-                solution, prepared.link_names, prepared.od_names,
-                backend="exact", include_utilities=False,
-            )
-            point["theta_packets"] = theta
-            points.append(point)
-        return {
-            "points": points,
-            "converged": all(p["converged"] for p in points),
-            "degraded": any(p["degraded"] for p in points),
-            "tier": "exact",
-        }
+        return sweep_payload(prepared, thetas, solutions)
 
     def execute_stream(self, params: dict, deadline: Deadline | None = None) -> dict:
         """Run a whole streaming trace server-side (may raise).
@@ -657,6 +644,34 @@ def solution_payload(
             for name, u in zip(od_names, solution.od_utilities)
         }
     return payload
+
+
+def sweep_thetas(params: dict) -> list[float]:
+    """The geometric θ grid of normalized sweep params."""
+    return [
+        float(t)
+        for t in np.geomspace(
+            params["theta_min"], params["theta_max"], params["points"]
+        )
+    ]
+
+
+def sweep_payload(prepared: PreparedRequest, thetas, solutions) -> dict:
+    """JSON-ready sweep result: one utility-free payload per θ."""
+    points = []
+    for theta, solution in zip(thetas, solutions):
+        point = solution_payload(
+            solution, prepared.link_names, prepared.od_names,
+            backend="exact", include_utilities=False,
+        )
+        point["theta_packets"] = theta
+        points.append(point)
+    return {
+        "points": points,
+        "converged": all(p["converged"] for p in points),
+        "degraded": any(p["degraded"] for p in points),
+        "tier": "exact",
+    }
 
 
 def stream_payload(results, link_names: list[str]) -> dict:

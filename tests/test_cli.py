@@ -63,6 +63,11 @@ class TestSolveCommand:
         with pytest.raises(SystemExit, match="--od is required"):
             main(["solve", "--topology", "abilene", "--theta", "1000"])
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--interval"])
+    def test_zero_alpha_or_interval_is_a_usage_error(self, flag):
+        with pytest.raises(SystemExit, match=flag.lstrip("-")):
+            main(["solve", "--theta", "100000", flag, "0"])
+
     def test_bad_od_spec(self):
         with pytest.raises(SystemExit, match="bad --od"):
             main(["solve", "--topology", "abilene", "--theta", "1000",

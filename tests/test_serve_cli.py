@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,15 +111,66 @@ class TestDaemonRouting:
                   "--checkpoint", str(tmp_path / "ck.jsonl")])
 
     def test_daemon_and_inline_agree(self, daemon, capsys):
-        assert main(["solve", "--theta", "100000",
-                     "--daemon", daemon, "--json"]) == 0
-        remote = json.loads(capsys.readouterr().out)
-        assert main(["solve", "--theta", "100000", "--json"]) == 0
-        inline = json.loads(capsys.readouterr().out)
-        assert remote["objective"] == pytest.approx(
-            inline["objective"], rel=1e-9
+        # Whole --json payloads, certificates included: only the
+        # solver's wall time may differ.  The daemon is fresh, so every
+        # case misses there and both routes solve cold.
+        for argv in (
+            ["solve", "--theta", "100000"],
+            ["solve", "--theta", "100000", "--backend", "approx"],
+            ["sweep", "--theta-min", "1e4", "--theta-max", "1e6",
+             "--points", "4"],
+        ):
+            assert main(argv + ["--daemon", daemon, "--json"]) == 0
+            captured = capsys.readouterr()
+            assert "cache miss" in captured.err
+            remote = json.loads(captured.out)
+            assert main(argv + ["--json"]) == 0
+            inline = json.loads(capsys.readouterr().out)
+            for payload in (remote, inline):
+                points = payload if isinstance(payload, list) else [payload]
+                for point in points:
+                    assert "gap_certified" in point
+                    del point["wall_time_s"]
+            assert remote == inline, argv
+
+    def test_daemon_and_inline_print_the_same_text(self, daemon, capsys):
+        argv = ["solve", "--theta", "100000"]
+        assert main(argv + ["--daemon", daemon]) == 0
+        remote = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == remote
+
+
+class TestColdPath:
+    def test_session_imports_without_the_server(self):
+        # The CLI's in-process route imports the session; asyncio and
+        # the daemon load only with the first server or client name.
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.serve.session\n"
+            "loaded = [m for m in ('asyncio', 'repro.serve.server')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from repro.serve import ServerThread, ServeClient, "
+            "daemon_available\n"
+            "assert 'repro.serve.server' in sys.modules\n"
+            "print(ServerThread.__name__, ServeClient.__name__, "
+            "daemon_available.__name__)\n"
         )
-        assert set(remote["monitors"]) == set(inline["monitors"])
+        env = dict(os.environ)
+        repo_src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "ServerThread", "ServeClient", "daemon_available",
+        ]
 
 
 class TestServeCommand:

@@ -22,6 +22,7 @@ from repro.core import solve
 from repro.scale import BACKEND_ALIASES, BACKEND_NAMES
 from repro.resilience.faults import (
     SITE_SERVE_CLIENT_DISCONNECT,
+    SITE_SERVE_SLOW_SOLVE,
     SITE_SOLVE_RAISE,
     FaultPlan,
     FaultSpec,
@@ -150,7 +151,15 @@ class TestCoalescing:
         self, tmp_path
     ):
         config = _config(tmp_path)
-        with ServerThread(config):
+        # Hold the leader's solve open so that every follower arrives
+        # while it is in flight; a follower that arrives after it ends
+        # is rightly a cache hit, not a coalesced wait.
+        hold = FaultPlan(
+            specs=(
+                FaultSpec(SITE_SERVE_SLOW_SOLVE, hits={0}, hang_seconds=1.0),
+            )
+        )
+        with ServerThread(config), injected_faults(hold):
             client_count = 6
             with ThreadPoolExecutor(client_count) as pool:
                 responses = list(
@@ -477,6 +486,13 @@ class TestSessionIdentity:
 
         params = normalize_solve_params({"theta": 1e5, "backend": backend})
         assert params["backend"] == BACKEND_ALIASES.get(backend, backend)
+
+    @pytest.mark.parametrize("param", ["alpha", "interval"])
+    def test_explicit_zero_is_rejected_not_defaulted(self, param):
+        from repro.serve.protocol import ProtocolError, normalize_solve_params
+
+        with pytest.raises(ProtocolError, match=f"param '{param}' must be"):
+            normalize_solve_params({"theta": 1e5, param: 0})
 
     def test_equivalent_params_share_a_key_and_theta_splits_it(self):
         from repro.serve.protocol import normalize_solve_params

@@ -185,6 +185,11 @@ class TestStreamCli:
         assert "objective" in out
         assert "3 intervals" in out
 
+    def test_zero_alpha_is_a_usage_error(self):
+        with pytest.raises(SystemExit, match="alpha"):
+            main(["stream", "--theta", "100000", "--alpha", "0",
+                  "--intervals", "2"])
+
     def test_anomaly_flag_shape_is_validated(self):
         with pytest.raises(SystemExit, match="anomaly"):
             main(["stream", "--theta", "100000", "--anomaly", "0:4.0"])
