@@ -799,6 +799,10 @@ def bench_scaling(
             exact_seconds=exact_s,
             exact_budget_s=exact_budget_s,
             exact_converged=bool(exact.diagnostics.converged),
+            exact_kkt_certified=bool(
+                exact.diagnostics.kkt is not None
+                and exact.diagnostics.kkt.satisfied
+            ),
             exact_iterations=exact.diagnostics.iterations,
         )
         if approx_s:

@@ -126,9 +126,13 @@ def solve_scaled(
 
     The returned diagnostics identify the backend that ran
     (``diagnostics.method``) and — for every non-exact backend —
-    carry a certified ``optimality_gap``.
+    carry a certified ``optimality_gap``.  ``warm_start`` reaches
+    ``exact`` and ``approx``; ``decompose`` has no warm path and
+    raises rather than drop it.
     """
     resolved = choose_backend(problem, backend)
+    if resolved == "decompose" and warm_start is not None:
+        raise ValueError("scale backend 'decompose' takes no warm_start")
     METRICS.increment(f"scale.backend.{resolved}")
     with span("scale.solve_scaled", backend=resolved,
               links=problem.num_links):
@@ -138,6 +142,12 @@ def solve_scaled(
             )
         if resolved == "decompose":
             return solve_decomposed(problem, options=decompose_options)
+        if warm_start is not None:
+            from ..core.gradient_projection import solve_gradient_projection
+
+            return solve_gradient_projection(
+                problem, options=gp_options, warm_start=warm_start
+            )
         from ..core.solver import solve
 
         return solve(problem, options=gp_options)

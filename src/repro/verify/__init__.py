@@ -10,8 +10,9 @@ agrees with a slow, obviously-correct reference:
     independent SLSQP cross-solve.
 :mod:`repro.verify.differential`
     Randomized instances solved through every backend pair —
-    dense/CSR, presolved/full, stacked/scalar, supervised/direct —
-    plus the reference cross-check, with certified tolerances.
+    dense/CSR, presolved/full, stacked/scalar, supervised/direct,
+    projection-arc/paper start — plus the reference cross-check, with
+    certified tolerances.
 :mod:`repro.verify.golden`
     Versioned golden JSON artifacts for GEANT/NSFNET solves with
     tolerance-tracked comparison and ``--update-golden`` regeneration.
@@ -21,6 +22,7 @@ See ``docs/verification.md`` for the tolerance policy and workflow.
 
 from .differential import (
     TOLERANCES,
+    check_arc_start,
     check_backends,
     check_presolve,
     check_reconfig,
@@ -71,6 +73,7 @@ __all__ = [
     "differential_check",
     "run_differential_suite",
     "check_backends",
+    "check_arc_start",
     "check_presolve",
     "check_stacked",
     "check_stream",

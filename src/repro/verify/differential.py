@@ -27,6 +27,10 @@ documented tolerance (see :data:`TOLERANCES` and
 ``decompose``
     Component decomposition vs one full solve on a block-diagonal
     instance assembled from the problem (guaranteed ≥ 2 components).
+``arc_start``
+    A cold solve from the projection-arc start vs a solve from the
+    paper's water-filling start, on enough block-diagonal copies of
+    the problem to reach the arc's candidate threshold.
 
 Comparisons gate on the *objective* (unique at the optimum even when
 the rate vector is degenerate) plus each solution's own KKT
@@ -43,6 +47,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import solve, solve_theta_sweep
+from ..core.gradient_projection import (
+    ARC_MIN_CANDIDATES,
+    initial_feasible_point,
+    solve_gradient_projection,
+)
 from ..core.kkt import check_kkt
 from ..core.problem import InfeasibleProblemError, SamplingProblem
 from ..core.utility import accuracy_utilities
@@ -67,6 +76,7 @@ __all__ = [
     "check_reference",
     "check_approx",
     "check_decompose",
+    "check_arc_start",
     "check_stream",
     "check_reconfig",
     "differential_check",
@@ -91,6 +101,9 @@ TOLERANCES: dict[str, float] = {
     # "decompose" gates merged-vs-full objectives.
     "approx": 1e-9,
     "decompose": 1e-6,
+    # Exact GP from the projection-arc start vs from the paper's
+    # water-filling start: two exact solves, like "dense_csr".
+    "arc_start": 1e-7,
     # Streaming control plane (repro.stream): "stream" gates each
     # interval's warm incremental optimum against a cold exact solve
     # of the identical problem; "reconfig" gates the penalized
@@ -186,35 +199,30 @@ def random_problem(
 
 
 def block_diagonal_problem(
-    problem: SamplingProblem, load_scale: float = 1.7
+    problem: SamplingProblem, load_scale: float = 1.7, copies: int = 2
 ) -> SamplingProblem:
     """A ≥ 2-component instance assembled from ``problem``.
 
-    Two copies of the routing on disjoint link/OD blocks — the second
-    with loads scaled by ``load_scale`` so the blocks price budget
-    differently — and double the budget (feasible: the absorbable
-    capacity more than doubles).  Deterministic, which is what the
-    differential and golden harnesses need.
+    ``copies`` copies of the routing on disjoint link/OD blocks — their
+    loads scaled along an even ramp from 1 to ``load_scale`` so the
+    blocks price budget differently — and ``copies`` times the budget
+    (feasible: the absorbable capacity grows at least as fast).
+    Deterministic, which is what the differential and golden harnesses
+    need.
     """
+    if copies < 2:
+        raise ValueError("need at least two copies")
     routing = np.asarray(problem.routing, dtype=float)
-    num_od, num_links = routing.shape
-    stacked = np.zeros((2 * num_od, 2 * num_links))
-    stacked[:num_od, :num_links] = routing
-    stacked[num_od:, num_links:] = routing
-    loads = np.concatenate(
-        [problem.link_loads_pps, load_scale * problem.link_loads_pps]
-    )
-    alpha = np.concatenate([problem.alpha, problem.alpha])
-    utilities = list(problem.utilities) + list(problem.utilities)
+    scales = np.linspace(1.0, load_scale, copies)
     probe = SamplingProblem(
-        stacked,
-        loads,
+        np.kron(np.eye(copies), routing),
+        np.concatenate([scale * problem.link_loads_pps for scale in scales]),
         1.0,
-        utilities,
-        alpha=alpha,
+        list(problem.utilities) * copies,
+        alpha=np.tile(problem.alpha, copies),
         interval_seconds=problem.interval_seconds,
     )
-    return probe.with_theta(2.0 * problem.theta_packets)
+    return probe.with_theta(copies * problem.theta_packets)
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +414,42 @@ def check_decompose(problem: SamplingProblem) -> dict:
     }
 
 
+def check_arc_start(problem: SamplingProblem) -> dict:
+    """Projection-arc start vs the paper's start, above the threshold.
+
+    Tiles ``problem`` into enough disjoint copies (see
+    :func:`block_diagonal_problem`) to reach
+    :data:`~repro.core.gradient_projection.ARC_MIN_CANDIDATES`, so a
+    cold solve takes the arc start.  The same instance warm-started
+    from the lifted water-filling point — which the warm projection
+    keeps as it is — runs the paper's loop from the paper's start.
+    """
+    candidates = max(int(problem.candidate_mask.sum()), 1)
+    copies = max(2, -(-ARC_MIN_CANDIDATES // candidates))
+    tiled = block_diagonal_problem(problem, copies=copies)
+    cand = tiled.candidate_mask
+    paper_start = np.zeros(tiled.num_links)
+    paper_start[cand] = initial_feasible_point(
+        tiled.link_loads_pps[cand], tiled.alpha[cand], tiled.theta_rate_pps
+    )
+    arc = solve(tiled)
+    paper = solve_gradient_projection(tiled, warm_start=paper_start)
+    gap = _rel_gap(_ref_objective(tiled, arc), _ref_objective(tiled, paper))
+    certified = all(
+        s.diagnostics.kkt is not None and s.diagnostics.kkt.satisfied
+        for s in (arc, paper)
+    )
+    return {
+        "pair": "arc_start",
+        "objective_gap": gap,
+        "candidates": int(cand.sum()),
+        "arc_iterations": arc.diagnostics.iterations,
+        "paper_iterations": paper.diagnostics.iterations,
+        "tolerance": TOLERANCES["arc_start"],
+        "passed": gap <= TOLERANCES["arc_start"] and certified,
+    }
+
+
 def _utility_inverse_sizes(problem: SamplingProblem) -> np.ndarray:
     """Per-OD mean inverse packet counts behind the problem's utilities."""
     return np.array([u.mean_inverse_size for u in problem.utilities])
@@ -588,6 +632,7 @@ def differential_check(
         check_supervised(problem),
         check_approx(problem),
         check_decompose(problem),
+        check_arc_start(problem),
         check_stream(problem),
         check_reconfig(problem),
     ]

@@ -6,6 +6,10 @@ session-scoped; everything downstream treats them as read-only.
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -90,3 +94,70 @@ def make_random_problem(
     )
     theta = theta_fraction * float(task.link_loads_pps.sum()) * task.interval_seconds
     return SamplingProblem.from_task(task, theta_packets=max(theta, 1000.0))
+
+
+# -- metric-name contracts ---------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The registry methods whose first argument is a metric name.
+METRIC_NAMING_METHODS = (
+    "increment", "gauge", "observe_timer", "observe_histogram", "timer",
+)
+
+
+def documented_metric_names(doc: str, header: str) -> set[str]:
+    """Names in the table under ``header`` in ``docs/<doc>``, expanded.
+
+    A cell like ``serve.task.hit`` / ``.miss`` continues the first
+    name's prefix; ``{exact,stale,approx}`` braces expand in place.
+    """
+    lines = (ROOT / "docs" / doc).read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    names: set[str] = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        first, *suffixes = re.findall(r"`([^`]+)`", line.split("|")[1])
+        prefix = first.rsplit(".", 1)[0]
+        for name in [first, *(prefix + suffix for suffix in suffixes)]:
+            braces = re.fullmatch(r"(.*)\{(.*)\}", name)
+            if braces:
+                names.update(braces[1] + part for part in braces[2].split(","))
+            else:
+                names.add(name)
+    return names
+
+
+def emitted_metric_names(
+    paths, prefixes: tuple[str, ...], formatted: dict[str, tuple[str, ...]]
+) -> set[str]:
+    """Names under ``prefixes`` that the sources at ``paths`` pass to METRICS.
+
+    An f-string name expands its literal head over ``formatted[head]``;
+    a conditional name contributes both branches.
+    """
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in METRIC_NAMING_METHODS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "METRICS"
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.JoinedStr):
+                head = arg.values[0].value
+                if not head.startswith(prefixes):
+                    continue
+                assert head in formatted, f"{path}: f-string {head!r}"
+                candidates = [head + value for value in formatted[head]]
+            elif isinstance(arg, ast.IfExp):
+                candidates = [arg.body.value, arg.orelse.value]
+            else:
+                candidates = [arg.value]
+            names.update(n for n in candidates if n.startswith(prefixes))
+    return names

@@ -76,6 +76,7 @@ class TestCompareReports:
             ("solver-entry", "optimized_seconds"),
             ("sweep-entry", "warm_seconds"),
             ("scaling-entry", "approx_seconds"),
+            ("scaling-entry", "exact_seconds"),
         ):
             base = _report()
             slow_value = {

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.active_set import ActiveSet
 from repro.core.gradient_projection import (
+    _arc_point,
     _project_to_feasible,
     _restore_capacity,
     initial_feasible_point,
@@ -114,3 +115,47 @@ class TestInitialFeasiblePointProperties:
         assert np.all(x >= -1e-12)
         assert np.all(x <= alpha + 1e-12)
         assert x @ loads == pytest.approx(target, rel=1e-9)
+
+
+def _arc_point_by_bisection(a, b, loads, alpha, target):
+    """Reference for ``_arc_point``: bisect ν on ``u·clip(a − ν b, 0, α)``."""
+    lo = float(((a - alpha) / b).min())
+    hi = float((a / b).max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if loads @ np.clip(a - mid * b, 0.0, alpha) > target:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(a - 0.5 * (lo + hi) * b, 0.0, alpha)
+
+
+class TestArcPoint:
+    @given(
+        arrays(float, (7,), elements=st.floats(min_value=-2.0, max_value=2.0)),
+        arrays(float, (7,), elements=st.floats(min_value=0.01, max_value=5.0)),
+        arrays(float, (7,), elements=st.floats(min_value=1.0, max_value=1000.0)),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection_on_the_capacity_plane(
+        self, a, b, loads, fraction
+    ):
+        alpha = np.linspace(0.2, 1.0, 7)
+        target = fraction * float(alpha @ loads)
+        x = _arc_point(a, b, loads, alpha, target)
+        assert np.all(x >= 0.0) and np.all(x <= alpha)
+        assert x @ loads == pytest.approx(target, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(
+            x, _arc_point_by_bisection(a, b, loads, alpha, target),
+            atol=1e-9,
+        )
+
+    def test_full_capacity_saturates_every_link(self):
+        loads = np.array([3.0, 5.0, 7.0])
+        alpha = np.array([0.5, 0.25, 1.0])
+        x = _arc_point(
+            np.array([0.1, 2.0, -1.0]), np.ones(3), loads, alpha,
+            float(alpha @ loads),
+        )
+        np.testing.assert_array_equal(x, alpha)

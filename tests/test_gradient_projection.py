@@ -14,6 +14,9 @@ from repro.core import (
     solve_gradient_projection,
     solve_scipy,
 )
+from repro.core.gradient_projection import ARC_MIN_CANDIDATES
+from repro.obs import collecting_metrics
+from repro.topology import hierarchical_routing_problem
 from tests.conftest import make_random_problem
 
 
@@ -319,3 +322,65 @@ class TestWarmNewton:
             options=GradientProjectionOptions(warm_newton=True),
         )
         assert solution.diagnostics.converged
+
+
+def _paper_start(problem):
+    """The lifted water-filling point: a warm start the solver keeps as is."""
+    cand = problem.candidate_mask
+    start = np.zeros(problem.num_links)
+    start[cand] = initial_feasible_point(
+        problem.link_loads_pps[cand], problem.alpha[cand],
+        problem.theta_rate_pps,
+    )
+    return start
+
+
+class TestProjectionArcStart:
+    """Cold solves above ARC_MIN_CANDIDATES start from the projection arc."""
+
+    def test_large_cold_solve_takes_the_arc_and_matches_the_paper_start(
+        self,
+    ):
+        problem = hierarchical_routing_problem(
+            16, 30, intra_pod_fraction=0.5, seed=3
+        )
+        assert problem.candidate_mask.sum() >= ARC_MIN_CANDIDATES
+        with collecting_metrics() as registry:
+            arc = solve_gradient_projection(problem)
+            arc_steps = registry.counter("solver.gp.arc_steps")
+            paper = solve_gradient_projection(
+                problem, warm_start=_paper_start(problem)
+            )
+            assert registry.counter("solver.gp.arc_steps") == arc_steps
+        assert arc_steps > 0
+        assert arc.diagnostics.converged
+        assert arc.diagnostics.kkt is not None and arc.diagnostics.kkt.satisfied
+        assert paper.diagnostics.kkt.satisfied
+        assert arc.objective_value == pytest.approx(
+            paper.objective_value, rel=1e-9
+        )
+        assert arc.diagnostics.iterations < paper.diagnostics.iterations
+
+    def test_geant_stays_on_the_paper_start(self, geant_problem):
+        with collecting_metrics() as registry:
+            solution = solve_gradient_projection(geant_problem)
+            assert registry.counter("solver.gp.arc_steps") == 0
+        paper = solve_gradient_projection(
+            geant_problem, warm_start=_paper_start(geant_problem)
+        )
+        np.testing.assert_array_equal(solution.rates, paper.rates)
+        assert solution.diagnostics.iterations == paper.diagnostics.iterations
+
+    def test_wall_clock_limit_ends_the_phase_unconverged(self):
+        problem = hierarchical_routing_problem(
+            40, 60, intra_pod_fraction=1.0, seed=1
+        )
+        with collecting_metrics() as registry:
+            solution = solve_gradient_projection(
+                problem,
+                options=GradientProjectionOptions(wall_clock_limit_s=0.01),
+            )
+            aborts = registry.counter("solver.gp.wall_clock_aborts")
+        assert not solution.diagnostics.converged
+        assert "wall-clock limit 0.01s exceeded" in solution.diagnostics.message
+        assert aborts == 1

@@ -17,8 +17,14 @@ from repro.obs import (
     disable_metrics,
     get_metrics,
 )
+from repro.scale import SCALE_BACKENDS
 
-from conftest import make_random_problem
+from conftest import (
+    ROOT,
+    documented_metric_names,
+    emitted_metric_names,
+    make_random_problem,
+)
 
 
 class TestRegistryBasics:
@@ -339,3 +345,30 @@ class TestPrometheusExposition:
         registry.increment("weird.name-with/chars", 1)
         text = render_prometheus(registry.snapshot())
         assert "repro_weird_name_with_chars_total 1" in text
+
+
+# -- the documented catalogue ------------------------------------------
+
+#: Namespaces whose every emitted name must have a catalogue row in
+#: docs/observability.md, and every row an emitter.
+SOLVER_NAMESPACES = ("solver.", "scale.", "routing.", "objective.")
+
+
+class TestSolverMetricNames:
+    def test_emitted_names_match_the_documented_table(self):
+        documented = {
+            name
+            for name in documented_metric_names(
+                "observability.md", "| name | kind | emitted by |"
+            )
+            if name.startswith(SOLVER_NAMESPACES)
+        }
+        emitted = emitted_metric_names(
+            sorted((ROOT / "src" / "repro").rglob("*.py")),
+            SOLVER_NAMESPACES,
+            {"scale.backend.": SCALE_BACKENDS},
+        )
+        assert "solver.gp.arc_steps" in emitted
+        assert "scale.backend.decompose" in emitted
+        assert documented - emitted == set(), "documented, never emitted"
+        assert emitted - documented == set(), "emitted, not documented"

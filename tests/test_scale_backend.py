@@ -88,8 +88,9 @@ class TestSolveScaled:
         assert counters["scale.backend.exact"] == 1
 
     def test_auto_converges_above_the_paper_iteration_cap(self):
-        # ~1.9k candidates: exact GP needs more than the paper's 2000
-        # iterations here, which the derived cap allows.
+        # ~1.9k candidates: from the paper's water-filling start exact
+        # GP needs more than 2000 iterations here, which the derived
+        # cap allows; the projection-arc start finishes well inside it.
         problem = hierarchical_routing_problem(
             24, 60, intra_pod_fraction=0.5, seed=2
         )
@@ -118,6 +119,25 @@ class TestSolveScaled:
         )
         assert warm.diagnostics.converged
         assert warm.diagnostics.iterations <= 2
+
+    def test_warm_start_reaches_exact(self, geant_problem):
+        exact = solve_scaled(geant_problem, backend="exact")
+        warm = solve_scaled(
+            geant_problem, backend="exact", warm_start=exact.rates
+        )
+        assert warm.diagnostics.converged
+        assert warm.diagnostics.iterations <= 2
+        assert warm.objective_value == pytest.approx(
+            exact.objective_value, rel=1e-12
+        )
+
+    def test_decompose_rejects_warm_start(self, geant_problem):
+        with pytest.raises(ValueError, match="decompose"):
+            solve_scaled(
+                geant_problem,
+                backend="decompose",
+                warm_start=np.zeros(geant_problem.num_links),
+            )
 
     def test_every_backend_feasible_result(self, geant_problem):
         from repro.scale import DecomposeOptions

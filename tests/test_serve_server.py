@@ -8,13 +8,10 @@ executor, the warm session and the result cache.
 
 from __future__ import annotations
 
-import ast
 import json
-import re
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -37,6 +34,8 @@ from repro.serve import (
     SolverSession,
     daemon_available,
 )
+
+from conftest import ROOT, documented_metric_names, emitted_metric_names
 
 SOLVE = {"theta": 100000.0}
 
@@ -287,64 +286,20 @@ class TestStatsAndTrace:
         assert "serve.solve" in names
 
 
-ROOT = Path(__file__).resolve().parents[1]
 #: The degradation tiers of the per-tier latency histogram.
 TIERS = ("exact", "stale", "approx")
 
 
-def _documented_serve_metrics() -> set[str]:
-    """Names in the metrics table of docs/serving.md, shorthand expanded.
-
-    A cell like ``serve.task.hit`` / ``.miss`` continues the first
-    name's prefix; ``{exact,stale,approx}`` braces expand in place.
-    """
-    text = (ROOT / "docs" / "serving.md").read_text(encoding="utf-8")
-    lines = text.splitlines()
-    start = lines.index("| name | kind | meaning |") + 2
-    names: set[str] = set()
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        first, *suffixes = re.findall(r"`([^`]+)`", line.split("|")[1])
-        prefix = first.rsplit(".", 1)[0]
-        for name in [first, *(prefix + suffix for suffix in suffixes)]:
-            braces = re.fullmatch(r"(.*)\{(.*)\}", name)
-            if braces:
-                names.update(braces[1] + part for part in braces[2].split(","))
-            else:
-                names.add(name)
-    return names
-
-
-def _emitted_serve_metrics() -> set[str]:
-    """``serve.*`` names the daemon's source passes to METRICS."""
-    names: set[str] = set()
-    for path in sorted((ROOT / "src" / "repro" / "serve").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("increment", "gauge",
-                                       "observe_histogram")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "METRICS"
-            ):
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.JoinedStr):
-                # f"serve.request.latency.{tier}": one name per tier.
-                head, _tier = arg.values
-                candidates = [head.value + tier for tier in TIERS]
-            else:
-                candidates = [arg.value]
-            names.update(n for n in candidates if n.startswith("serve."))
-    return names
-
-
 class TestMetricNames:
     def test_emitted_names_match_the_documented_table(self):
-        documented = _documented_serve_metrics()
-        emitted = _emitted_serve_metrics()
+        documented = documented_metric_names(
+            "serving.md", "| name | kind | meaning |"
+        )
+        emitted = emitted_metric_names(
+            sorted((ROOT / "src" / "repro" / "serve").glob("*.py")),
+            ("serve.",),
+            {"serve.request.latency.": TIERS},
+        )
         assert "serve.request.latency.stale" in emitted
         assert "serve.journal.synced" in emitted
         assert documented - emitted == set(), "documented, never emitted"

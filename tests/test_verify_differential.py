@@ -16,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.gradient_projection import ARC_MIN_CANDIDATES
 from repro.verify import (
     TOLERANCES,
+    check_arc_start,
     check_backends,
     check_presolve,
     check_reconfig,
@@ -90,6 +92,13 @@ class TestBackendPairs:
         record = check_supervised(_problem(seed))
         assert record["passed"], record
         assert not record["degraded"]
+
+    @given(seed=st.integers(0, 2**32 - 1), degenerate=st.booleans())
+    @SLOW
+    def test_arc_start_matches_paper_start(self, seed, degenerate):
+        record = check_arc_start(_problem(seed, degenerate=degenerate))
+        assert record["passed"], record
+        assert record["candidates"] >= ARC_MIN_CANDIDATES
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None,

@@ -57,7 +57,7 @@ TRACKED_SECONDS = {
     "solver": ("optimized_seconds",),
     "presolve": ("reduced_seconds",),
     "sweep": ("warm_seconds", "presolved_seconds"),
-    "scaling": ("approx_seconds", "decompose_seconds"),
+    "scaling": ("approx_seconds", "decompose_seconds", "exact_seconds"),
     "obs": ("disabled_seconds",),
     "serve": ("warm_request_seconds", "warm_miss_seconds"),
     "stream": ("incremental_seconds",),
