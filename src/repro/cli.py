@@ -87,7 +87,11 @@ from .obs import (
     write_manifest,
 )
 from .scale import BACKEND_NAMES, solve_scaled
-from .topology import network_to_edge_list, network_to_json
+from .topology import (
+    BUILTIN_TOPOLOGIES,
+    network_to_edge_list,
+    network_to_json,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -95,9 +99,12 @@ logger = get_logger("cli")
 
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 
+#: Help text of every argument that names a topology.
+_TOPOLOGY_HELP = f"{', '.join(BUILTIN_TOPOLOGIES)}, or a JSON file"
+
 #: Help texts of the task flags, by flag.
 _TASK_FLAG_HELP = {
-    "--topology": "geant, abilene, or a JSON file (default: geant)",
+    "--topology": f"{_TOPOLOGY_HELP} (default: geant)",
     "--od": "OD pair of interest (repeatable); on geant defaults to the "
             "paper's JANET task",
     "--task-file": "declarative task document (overrides "
@@ -161,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     topo = sub.add_parser("topology", help="inspect or export topologies")
     topo_sub = topo.add_subparsers(dest="topology_command", required=True)
     show = topo_sub.add_parser("show", help="print a topology summary")
-    show.add_argument("name", help="geant, abilene, or a JSON file")
+    show.add_argument("name", help=_TOPOLOGY_HELP)
     export = topo_sub.add_parser("export", help="write a topology to stdout")
-    export.add_argument("name", help="geant, abilene, or a JSON file")
+    export.add_argument("name", help=_TOPOLOGY_HELP)
     export.add_argument(
         "--format", choices=("json", "edgelist"), default="json"
     )

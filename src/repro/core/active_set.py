@@ -193,5 +193,8 @@ class ActiveSet:
         if not np.isfinite(t_max):
             return np.inf, np.array([], dtype=int)
         t_max = max(t_max, 0.0)
-        blocking = np.flatnonzero(np.isclose(steps, t_max, rtol=1e-9, atol=1e-15))
+        # np.isclose(steps, t_max, rtol=1e-9, atol=1e-15) written out: for
+        # a finite t_max it is exactly this test (inf steps fail it), at a
+        # quarter of the cost on every GP iteration.
+        blocking = np.flatnonzero(np.abs(steps - t_max) <= 1e-15 + 1e-9 * t_max)
         return t_max, blocking

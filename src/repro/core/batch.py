@@ -36,11 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -686,6 +683,9 @@ def _run_crash_safe_pool(
     ``resilience.task.requeued`` / ``resilience.task.inline`` for
     task-level failures.
     """
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     from ..resilience import faults as fault_mod
 
     plan = fault_mod.active_plan()
@@ -843,9 +843,11 @@ def solve_batch(
     METRICS.increment("batch.pool.tasks", len(problems))
     METRICS.increment("batch.pool.dispatches")
     METRICS.gauge("batch.pool.workers", workers)
-    context = (
-        multiprocessing.get_context(start_method) if start_method else None
-    )
+    context = None
+    if start_method:
+        import multiprocessing
+
+        context = multiprocessing.get_context(start_method)
 
     def _inline(index: int) -> SamplingSolution:
         return solve(

@@ -18,23 +18,25 @@ dense path ``R.T`` is a strided view with hostile memory access, and
 on the sparse path a CSR of the transpose keeps the gradient
 assembly row-major.
 
-SciPy is an optional dependency here: without it every operator
-silently falls back to the dense backend, so nothing above this module
-needs to gate on its presence.
+SciPy is an optional dependency here, and a lazy one: ``scipy.sparse``
+is imported only when an operator is built on the CSR backend.  A SciPy
+sparse input is recognised through ``sys.modules`` (such a matrix cannot
+exist unless SciPy is already loaded), so dense inputs below
+:data:`MIN_AUTO_SPARSE_SIZE` entries — the GEANT task among them —
+never load SciPy.  Without SciPy every operator silently falls back to
+the dense backend, so nothing above this module needs to gate on its
+presence.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..obs.metrics import METRICS
-
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sparse = None
 
 __all__ = [
     "RoutingOperator",
@@ -50,6 +52,16 @@ DENSITY_THRESHOLD = 0.25
 #: Matrices with fewer entries than this stay dense under auto-selection:
 #: at that size the constant overhead of CSR indexing outweighs any win.
 MIN_AUTO_SPARSE_SIZE = 4096
+
+
+@functools.cache
+def _scipy_sparse():
+    """``scipy.sparse``, imported on first use; ``None`` without SciPy."""
+    try:
+        from scipy import sparse
+    except ImportError:  # pragma: no cover - scipy is present in CI
+        return None
+    return sparse
 
 
 class RoutingOperator:
@@ -87,7 +99,7 @@ class RoutingOperator:
         """
         if prefer not in (None, "dense", "sparse"):
             raise ValueError("prefer must be None, 'dense' or 'sparse'")
-        if prefer == "sparse" and _sparse is None:
+        if prefer == "sparse" and _scipy_sparse() is None:
             raise ValueError("sparse backend requires scipy")
 
         if isinstance(matrix, RoutingOperator):
@@ -97,7 +109,8 @@ class RoutingOperator:
                 return DenseRoutingOperator(matrix.toarray())
             return SparseRoutingOperator(matrix.toarray())
 
-        if _sparse is not None and _sparse.issparse(matrix):
+        loaded = sys.modules.get("scipy.sparse")
+        if loaded is not None and loaded.issparse(matrix):
             if prefer == "dense":
                 return DenseRoutingOperator(matrix.toarray())
             return SparseRoutingOperator(matrix)
@@ -110,9 +123,9 @@ class RoutingOperator:
         if prefer == "sparse":
             return SparseRoutingOperator(dense)
         if (
-            _sparse is not None
-            and dense.size >= MIN_AUTO_SPARSE_SIZE
+            dense.size >= MIN_AUTO_SPARSE_SIZE
             and np.count_nonzero(dense) <= density_threshold * dense.size
+            and _scipy_sparse() is not None
         ):
             return SparseRoutingOperator(dense)
         return DenseRoutingOperator(dense)
@@ -260,9 +273,10 @@ class SparseRoutingOperator(RoutingOperator):
     backend = "sparse"
 
     def __init__(self, matrix):
-        if _sparse is None:  # pragma: no cover - guarded by from_matrix
+        sparse = _scipy_sparse()
+        if sparse is None:  # pragma: no cover - guarded by from_matrix
             raise RuntimeError("sparse backend requires scipy")
-        csr = _sparse.csr_matrix(matrix, dtype=float)
+        csr = sparse.csr_matrix(matrix, dtype=float)
         if csr.ndim != 2:  # pragma: no cover - csr_matrix enforces 2-D
             raise ValueError("routing matrix must be 2-D")
         csr.sum_duplicates()

@@ -14,7 +14,6 @@ from __future__ import annotations
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from .gradient_projection import initial_feasible_point
 from .kkt import check_kkt
@@ -40,6 +39,8 @@ def solve_scipy(
     :class:`SamplingSolution` shape as the gradient-projection solver,
     including a KKT certificate.
     """
+    from scipy.optimize import Bounds, LinearConstraint, minimize
+
     t_start = perf_counter()
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["estimate_size", "estimate_sizes", "SizeEstimate"]
 
@@ -62,6 +61,8 @@ class SizeEstimate:
         standard deviation ``sqrt(X (1-ρ))/ρ`` (plug-in), adequate for
         the large counts of backbone OD pairs.
         """
+        from scipy import stats
+
         if not 0.0 < confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
         point = estimate_size(sampled_count, effective_rate)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 __all__ = [
     "detection_probability",
@@ -146,6 +145,8 @@ def invert_size_distribution(
 
     Returns the estimated probability vector over sizes ``1..max_size``.
     """
+    from scipy import optimize, stats
+
     if not 0.0 < sampling_rate <= 1.0:
         raise ValueError("sampling rate must be in (0, 1]")
     if max_size < 1:

@@ -47,13 +47,7 @@ from ..obs.metrics import METRICS
 from ..obs.spans import span
 from ..resilience import faults
 from ..routing import ODPair
-from ..topology import (
-    Network,
-    abilene_network,
-    geant_network,
-    load_network,
-    nsfnet_network,
-)
+from ..topology import BUILTIN_TOPOLOGIES, Network, load_network
 from ..traffic import janet_task, load_task_file, make_task
 from .admission import Deadline
 from .cache import fingerprint_key
@@ -72,28 +66,21 @@ __all__ = [
     "stream_payload",
 ]
 
-_BUILTIN_TOPOLOGIES = {
-    "geant": geant_network,
-    "abilene": abilene_network,
-    "nsfnet": nsfnet_network,
-}
-
-
 def resolve_topology(name: str) -> Network:
     """A built-in topology name or a JSON file path.
 
     Raises :class:`ValueError` on failure — the CLI wraps this into a
     ``SystemExit``, the daemon into an error response.
     """
-    builder = _BUILTIN_TOPOLOGIES.get(name.lower())
-    if builder is not None:
-        return builder()
+    build = BUILTIN_TOPOLOGIES.get(name.lower())
+    if build is not None:
+        return build()
     try:
         return load_network(name)
     except OSError as exc:
         raise ValueError(
             f"unknown topology {name!r}: not a built-in "
-            f"({', '.join(_BUILTIN_TOPOLOGIES)}) and not a readable file "
+            f"({', '.join(BUILTIN_TOPOLOGIES)}) and not a readable file "
             f"({exc})"
         )
 

@@ -24,7 +24,15 @@ from .io import (
     save_network,
 )
 
+#: Topologies a request may name instead of a JSON file, by name.
+BUILTIN_TOPOLOGIES = {
+    "geant": geant_network,
+    "abilene": abilene_network,
+    "nsfnet": nsfnet_network,
+}
+
 __all__ = [
+    "BUILTIN_TOPOLOGIES",
     "Network",
     "Node",
     "Link",

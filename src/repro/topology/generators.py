@@ -9,10 +9,14 @@ full-duplex links, mirroring backbone practice.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .graph import LinkSpeed, Network
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "random_waxman_network",
@@ -28,6 +32,8 @@ __all__ = [
 
 def _ensure_connected_undirected(graph: nx.Graph, rng: np.random.Generator) -> None:
     """Connect components by adding random inter-component edges in place."""
+    import networkx as nx
+
     components = [list(c) for c in nx.connected_components(graph)]
     while len(components) > 1:
         a = components.pop()
@@ -40,6 +46,8 @@ def _ensure_connected_undirected(graph: nx.Graph, rng: np.random.Generator) -> N
 
 def _from_undirected(graph: nx.Graph, name: str, rng: np.random.Generator) -> Network:
     """Relabel to ``"n0".."nN"``, connect, and convert to a Network."""
+    import networkx as nx
+
     graph = nx.convert_node_labels_to_integers(graph)
     _ensure_connected_undirected(graph, rng)
     net = Network(name)
@@ -66,6 +74,8 @@ def random_waxman_network(
     Parameters follow :func:`networkx.waxman_graph`; the result is made
     strongly connected by stitching components together.
     """
+    import networkx as nx
+
     if num_nodes < 2:
         raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
@@ -78,6 +88,8 @@ def random_scale_free_network(num_nodes: int, seed: int | None = None, m: int = 
 
     Produces the hub-and-spoke degree skew typical of router-level maps.
     """
+    import networkx as nx
+
     if num_nodes < 3:
         raise ValueError("need at least 3 nodes")
     graph = nx.barabasi_albert_graph(num_nodes, min(m, num_nodes - 1), seed=seed)

@@ -17,9 +17,10 @@ delegate to networkx.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Node", "Link", "Network", "LinkSpeed"]
 
@@ -266,6 +267,8 @@ class Network:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` (for path algorithms)."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for node in self.nodes:
             graph.add_node(node.name, region=node.region)
@@ -301,6 +304,8 @@ class Network:
 
     def is_strongly_connected(self) -> bool:
         """True if every node can reach every other node."""
+        import networkx as nx
+
         if self.num_nodes <= 1:
             return True
         return nx.is_strongly_connected(self.to_networkx())

@@ -172,3 +172,67 @@ class TestMaxStep:
         t, blocking = active.max_step(x, s)
         assert t == pytest.approx(0.5)
         assert sorted(blocking.tolist()) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "x, s, active_lower",
+        [
+            # tied steps, one of them only within the relative tolerance
+            ([0.5, 0.5, 0.5, 0.2], [-1.0, -1.0, -1.0 + 1e-12, 0.0], ()),
+            # a coordinate already at its bound: zero step blocks
+            ([0.0, 0.5, 0.3, 0.2], [-1.0, -0.5, 1.0, 0.0], ()),
+            # a slightly infeasible point: negative steps clamp t_max to 0
+            ([-1e-16, 0.5, 1.0 + 4e-16, 0.2], [-1.0, 1.0, 1.0, 0.0], ()),
+            # inf entries from zero directions and active coordinates
+            ([0.5, 0.5, 0.3, 0.2], [0.0, 2.0, -3.0, 0.0], (2,)),
+            # steps near atol around a zero t_max
+            ([1e-18, 0.0, 2e-15, 0.2], [-1.0, -1.0, -1.0, 0.0], ()),
+        ],
+    )
+    def test_blocking_set_matches_isclose(self, x, s, active_lower):
+        active = ActiveSet(np.ones(4), np.array([1.0, 1.0, 1.0, 0.9]))
+        for index in active_lower:
+            active.activate_lower(index)
+        x, s = np.array(x), np.array(s)
+        t, blocking = active.max_step(x, s)
+        expected, steps = _isclose_blocking(active, x, s, t)
+        assert np.isinf(steps).any()
+        assert blocking.size > 0
+        assert blocking.tolist() == expected.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                # coarse directions make exact and near ties common
+                st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_blocking_set_matches_isclose_property(self, coords):
+        active = ActiveSet(np.ones(len(coords)), np.ones(len(coords)))
+        for index, (_, _, pinned) in enumerate(coords):
+            if pinned:
+                active.activate_lower(index)
+        x = np.array([c[0] for c in coords])
+        s = np.array([c[1] for c in coords])
+        t, blocking = active.max_step(x, s)
+        if np.isinf(t):
+            assert blocking.size == 0
+        else:
+            expected, _ = _isclose_blocking(active, x, s, t)
+            assert blocking.tolist() == expected.tolist()
+
+
+def _isclose_blocking(active, x, s, t):
+    """The reference blocking set, selected with ``np.isclose``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.minimum(
+            np.where(s < 0, -x / s, np.inf),
+            np.where(s > 0, (active.alpha - x) / s, np.inf),
+        )
+    steps[~active.free_mask] = np.inf
+    return np.flatnonzero(np.isclose(steps, t, rtol=1e-9, atol=1e-15)), steps

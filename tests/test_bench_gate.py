@@ -58,6 +58,15 @@ def _report(**overrides) -> dict:
             "exact_seconds": 2.0,
             "approx_gap_relative": 2e-3,
         },
+        {
+            "kind": "serve",
+            "name": "serve-entry",
+            "cold_cli_seconds": 0.70,
+            "warm_request_seconds": 0.001,
+            "warm_miss_seconds": 0.004,
+            "relative_objective_gap": 0.0,
+            "gap_certified": True,
+        },
     ]
     by_name = {e["name"]: e for e in entries}
     for name, fields in overrides.items():
@@ -77,6 +86,10 @@ class TestCompareReports:
             ("sweep-entry", "warm_seconds"),
             ("scaling-entry", "approx_seconds"),
             ("scaling-entry", "exact_seconds"),
+            # A slower cold CLI raises the serve speedup (cold / warm),
+            # so only the tracked cold_cli_seconds can catch it.
+            ("serve-entry", "cold_cli_seconds"),
+            ("serve-entry", "warm_miss_seconds"),
         ):
             base = _report()
             slow_value = {

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.scale import BACKEND_NAMES
+from repro.topology import BUILTIN_TOPOLOGIES
 
 
 class TestTopologyCommands:
@@ -31,6 +32,17 @@ class TestTopologyCommands:
     def test_unknown_topology(self):
         with pytest.raises(SystemExit, match="unknown topology"):
             main(["topology", "show", "nonexistent"])
+
+    def test_help_names_every_builtin(self, capsys):
+        # The help and the resolver read one table, so they cannot drift.
+        listed = f"{', '.join(BUILTIN_TOPOLOGIES)}, or a JSON file"
+        assert "nsfnet" in listed
+        for argv in (["topology", "show"], ["topology", "export"], ["solve"]):
+            with pytest.raises(SystemExit):
+                main([*argv, "--help"])
+            assert listed in " ".join(capsys.readouterr().out.split())
+        for name in BUILTIN_TOPOLOGIES:
+            assert main(["topology", "show", name]) == 0
 
 
 class TestSolveCommand:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -141,6 +142,18 @@ class TestDaemonRouting:
         assert capsys.readouterr().out == remote
 
 
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ``repro`` from src."""
+    env = dict(os.environ)
+    repo_src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    )
+
+
 class TestColdPath:
     def test_session_imports_without_the_server(self):
         # The CLI's in-process route imports the session; asyncio and
@@ -157,20 +170,52 @@ class TestColdPath:
             "print(ServerThread.__name__, ServeClient.__name__, "
             "daemon_available.__name__)\n"
         )
-        env = dict(os.environ)
-        repo_src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=env,
-        )
+        proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [
             "ServerThread", "ServeClient", "daemon_available",
         ]
+
+    def test_cold_solve_loads_no_deferred_module(self):
+        # A cold GEANT solve runs no SciPy, networkx or process-pool
+        # code, so it must not pay for importing them; each loads on
+        # its first real use instead.
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import numpy as np
+            import repro, repro.cli
+
+            deferred = ("scipy.optimize", "scipy.stats", "scipy.sparse",
+                        "networkx", "asyncio", "multiprocessing",
+                        "concurrent.futures")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = repro.cli.main(["solve", "--theta", "100000", "--json"])
+            assert code == 0, code
+            assert json.loads(out.getvalue())["converged"]
+            loaded = [m for m in deferred if m in sys.modules]
+            assert not loaded, loaded
+
+            # scipy.optimize imports scipy.sparse, so the CSR operator
+            # goes first.
+            op = repro.RoutingOperator.from_matrix(np.eye(3), prefer="sparse")
+            assert op.backend == "sparse"
+            assert op.matvec(np.arange(3.0)).tolist() == [0.0, 1.0, 2.0]
+            assert "scipy.sparse" in sys.modules
+
+            task = repro.janet_task()
+            assert task.network.is_strongly_connected()
+            assert "networkx" in sys.modules
+
+            problem = repro.SamplingProblem.from_task(task, theta_packets=1e5)
+            reference = repro.solve_scipy(problem)
+            assert reference.diagnostics.kkt.satisfied
+            assert "scipy.optimize" in sys.modules
+            print("ok")
+        """)
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
 
 
 class TestServeCommand:

@@ -59,7 +59,7 @@ TRACKED_SECONDS = {
     "sweep": ("warm_seconds", "presolved_seconds"),
     "scaling": ("approx_seconds", "decompose_seconds", "exact_seconds"),
     "obs": ("disabled_seconds",),
-    "serve": ("warm_request_seconds", "warm_miss_seconds"),
+    "serve": ("cold_cli_seconds", "warm_request_seconds", "warm_miss_seconds"),
     "stream": ("incremental_seconds",),
 }
 
