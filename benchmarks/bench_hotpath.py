@@ -16,7 +16,13 @@ Run from a checkout (the package must be importable, e.g.
     python benchmarks/bench_hotpath.py --quick         # CI smoke
     python benchmarks/bench_hotpath.py --output out.json
 
-The ``solver`` entries time one full solve per variant; the ``sweep``
+Every timed variant reports its best call over at least ``--repeats``
+calls (3 by default, in quick mode too) and at least
+:data:`MIN_TIMED_SECONDS` of timed work: one sample of a 15–60 ms
+solve can read 2× slow on a shared host, past the gate's bands.  (The
+daemon's first request, its fresh-θ misses and ``decompose`` keep a
+fixed count.)  The
+``solver`` entries time one full solve per variant; the ``sweep``
 entries time a θ ladder solved cold-per-point versus warm-chained
 versus presolved-and-warm-chained; the ``presolve`` entries time a
 single solve with and without problem reduction; the ``serve`` entry
@@ -150,13 +156,34 @@ def dense_baseline_objective(problem: SamplingProblem) -> SumUtilityObjective:
     return SumUtilityObjective(dense, problem.utilities)
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
+#: Least timed work behind one published time: a variant is called at
+#: least ``repeats`` times and until its calls add up to this long.  A
+#: stall on a shared host then has to cover the whole window, not
+#: three consecutive ~40 ms calls, before it moves the best call.
+MIN_TIMED_SECONDS = 1.0
+
+
+def _best_of(
+    fn: Callable[[], object],
+    repeats: int,
+    min_seconds: float = MIN_TIMED_SECONDS,
+) -> tuple[float, object]:
+    """Best single-call time of ``fn`` and its last result.
+
+    Pass ``min_seconds=0`` where the call count is part of what is
+    measured: exactly ``repeats`` calls are made then.
+    """
     best = float("inf")
     result = None
-    for _ in range(repeats):
+    calls = 0
+    spent = 0.0
+    while calls < repeats or spent < min_seconds:
         start = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best = min(best, elapsed)
+        spent += elapsed
+        calls += 1
     return best, result
 
 
@@ -422,7 +449,9 @@ def bench_obs_overhead(
     with collecting_spans(name) as recorder, \
             collecting_metrics(reset=True) as registry:
         enabled_s, enabled = _best_of(
-            lambda: solve(problem, options=OPTIMIZED_OPTIONS), repeats
+            lambda: solve(problem, options=OPTIMIZED_OPTIONS),
+            repeats,
+            min_seconds=0.0,
         )
         snapshot = registry.snapshot()
     metric_events = (
@@ -473,7 +502,7 @@ def bench_obs_overhead(
     }
 
 
-def bench_serve(name: str, repeats: int, quick: bool) -> dict:
+def bench_serve(name: str, repeats: int) -> dict:
     """Warm solver daemon vs the cold CLI on the GEANT/JANET task.
 
     ``cold_cli_seconds`` is the full price of one ``netsampling solve``
@@ -481,8 +510,9 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
     matrix, solve.  ``cold_request_seconds`` is the daemon's first
     answer (task build + solve, no process start), and
     ``warm_request_seconds`` a repeat request answered from the
-    fingerprint-keyed result cache (best of many round trips).
-    ``warm_miss_seconds`` is the best of as many requests at fresh θ
+    fingerprint-keyed result cache (best of at least 30 round trips
+    and :data:`MIN_TIMED_SECONDS` of them).
+    ``warm_miss_seconds`` is the best of 30 requests at fresh θ
     on the resident task: each is a real solve, warm-started from the
     task's chain, and must come back a certified ``miss``.  The
     coalescing phase fires identical concurrent requests at an uncached
@@ -516,7 +546,7 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
         )
         return json.loads(completed.stdout)
 
-    cold_cli_s, cli_payload = _best_of(_cold_cli, 1 if quick else repeats)
+    cold_cli_s, cli_payload = _best_of(_cold_cli, repeats)
 
     reference_problem = SamplingProblem.from_task(
         janet_task(), theta_packets=theta
@@ -531,12 +561,17 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
             client = ServeClient(config.socket_path)
             params = {"theta": theta}
             cold_request_s, first = _best_of(
-                lambda: client.request("solve", params), 1
+                lambda: client.request("solve", params), 1, min_seconds=0.0
             )
+            hits = 0
+
+            def _hit() -> dict:
+                nonlocal hits
+                hits += 1
+                return client.request("solve", params)
+
             warm_start = time.perf_counter()
-            warm_s, last = _best_of(
-                lambda: client.request("solve", params), warm_round_trips
-            )
+            warm_s, last = _best_of(_hit, warm_round_trips)
             warm_elapsed = time.perf_counter() - warm_start
 
             warm_miss_s = float("inf")
@@ -589,7 +624,7 @@ def bench_serve(name: str, repeats: int, quick: bool) -> dict:
         "warm_speedup_vs_cold_request": (
             cold_request_s / warm_s if warm_s > 0 else None
         ),
-        "warm_requests_per_second": warm_round_trips / warm_elapsed,
+        "warm_requests_per_second": hits / warm_elapsed,
         "warm_cache_state": last["cache"],
         "concurrent_clients": concurrent_clients,
         "coalesced_requests": states.count("coalesced"),
@@ -713,6 +748,7 @@ def bench_scaling(
     *,
     intra_pod_fraction: float = 0.5,
     seed: int = 2006,
+    repeats: int = 1,
     run_approx: bool = True,
     run_exact: bool = False,
     exact_budget_s: float | None = None,
@@ -729,9 +765,9 @@ def bench_scaling(
     exactly).  Exact GP runs under ``exact_budget_s`` with its
     iteration cap lifted, so the entry records either its honest wall
     time or the fact that it could not finish inside the budget —
-    the number the ≥10⁵-link acceptance criterion is about.  One
-    timing pass per backend: at these sizes run-to-run noise is far
-    below the orders-of-magnitude spreads being measured.
+    the number the ≥10⁵-link acceptance criterion is about.  ``approx``
+    and ``exact`` report their best pass (see :func:`_best_of`; at 10³
+    links both take milliseconds); ``decompose`` runs once.
     """
     build_start = time.perf_counter()
     problem = hierarchical_routing_problem(
@@ -755,7 +791,7 @@ def bench_scaling(
 
     approx_s = None
     if run_approx:
-        approx_s, approx = _best_of(lambda: solve_approx(problem), 1)
+        approx_s, approx = _best_of(lambda: solve_approx(problem), repeats)
         entry.update(
             approx_seconds=approx_s,
             approx_gap_relative=_relative_gap(approx.diagnostics),
@@ -775,6 +811,7 @@ def bench_scaling(
                 problem, options=DecomposeOptions(**decompose_kwargs)
             ),
             1,
+            min_seconds=0.0,
         )
         entry.update(
             decompose_seconds=decompose_s,
@@ -793,7 +830,7 @@ def bench_scaling(
         )
         exact_s, exact = _best_of(
             lambda: solve_gradient_projection(problem, options=exact_options),
-            1,
+            repeats,
         )
         entry.update(
             exact_seconds=exact_s,
@@ -815,7 +852,7 @@ def run_benchmarks(
     repeats: int | None = None,
     start_method: str | None = None,
 ) -> dict:
-    repeats = repeats or (1 if quick else 3)
+    repeats = repeats or 3
     geant = SamplingProblem.from_task(janet_task(), theta_packets=100_000)
     if quick:
         large = build_waxman_problem(num_nodes=24, num_od=80, seed=42)
@@ -864,29 +901,31 @@ def run_benchmarks(
             sweep_thetas,
             repeats,
         ),
-        bench_serve("serve-geant-warm", repeats, quick),
+        bench_serve("serve-geant-warm", repeats),
         bench_stream("stream-geant-diurnal-24h", repeats, quick),
     ]
     # The scaling curve: 10³→10⁴ links always; --quick stops there
-    # (the CI-under-a-minute guard), the full run continues to 10⁵
-    # and 10⁶.  Mixed-traffic instances exercise approx vs exact;
-    # pod-local (``intra_pod_fraction=1.0``) instances exercise the
+    # (the CI smoke guard), the full run continues to 10⁵ and 10⁶.
+    # Mixed-traffic instances exercise approx vs exact; pod-local
+    # (``intra_pod_fraction=1.0``) instances exercise exact against the
     # decomposition backend on its canonical shape.
     entries.append(
         bench_scaling(
-            "scaling-hier-1k", 16, 30, 2, run_exact=True,
+            "scaling-hier-1k", 16, 30, 2, repeats=repeats, run_exact=True,
         )
     )
     entries.append(
         bench_scaling(
-            "scaling-hier-10k", 50, 98, 2,
+            "scaling-hier-10k", 50, 98, 2, repeats=repeats,
             run_exact=True, exact_budget_s=30.0 if quick else 120.0,
         )
     )
     entries.append(
         bench_scaling(
             "scaling-hier-10k-podlocal", 50, 98, 2,
-            intra_pod_fraction=1.0, run_approx=False, run_decompose=True,
+            intra_pod_fraction=1.0, repeats=repeats, run_approx=False,
+            run_exact=True, exact_budget_s=30.0 if quick else 120.0,
+            run_decompose=True,
         )
     )
     if not quick:
@@ -899,7 +938,8 @@ def run_benchmarks(
         entries.append(
             bench_scaling(
                 "scaling-hier-100k-podlocal", 320, 150, 4,
-                intra_pod_fraction=1.0, run_decompose=True,
+                intra_pod_fraction=1.0, run_exact=True, exact_budget_s=60.0,
+                run_decompose=True,
                 # At this scale a 1e-5 Frank-Wolfe certificate is the
                 # contract; chasing 1e-8 through the waterline (or a
                 # full-problem polish) costs minutes for no decision-
@@ -923,11 +963,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="small instances, one repeat (CI smoke)",
+        help="small instances, scaling curve capped at 10^4 links (CI smoke)",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="timing repeats per variant (default: 3, 1 with --quick)",
+        help="timing repeats per variant, best of (default: 3)",
     )
     parser.add_argument(
         "--output", default="BENCH_hotpath.json",

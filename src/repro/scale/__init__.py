@@ -10,17 +10,17 @@ rather than trusted:
 ``decompose``
     OD×link connectivity decomposition (:mod:`~repro.scale.decompose`)
     — exact recombination across independent components, parallel on
-    the batch process pool, certified by full-problem KKT.
+    the batch process pool, certified by full-problem KKT.  Runs only
+    when asked for by name: exact GP with its reduced-Newton finish
+    beats it at every size measured.
 
 :func:`solve_scaled` routes between them and plain exact GP with the
 same auto-policy mechanism :class:`~repro.core.routing_op
 .RoutingOperator` uses for dense/CSR: explicit ``backend=`` always
-wins; ``"auto"`` inspects two cheap structural signals — candidate
-count against :data:`APPROX_AUTO_LINKS` and
-:data:`DECOMPOSE_AUTO_MIN_LINKS`, bipartite component count against
-:data:`DECOMPOSE_AUTO_COMPONENTS` — and records its choice in
-``scale.backend.*`` counters.  The thresholds are measured
-crossovers on a 2-CPU host (``docs/performance.md`` §5).
+wins; ``"auto"`` compares the candidate count against
+:data:`APPROX_AUTO_LINKS` and records its choice in
+``scale.backend.*`` counters.  The threshold is a measured crossover
+on a 2-CPU host (``docs/performance.md`` §5).
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "BACKEND_ALIASES",
     "BACKEND_NAMES",
     "APPROX_AUTO_LINKS",
-    "DECOMPOSE_AUTO_COMPONENTS",
-    "DECOMPOSE_AUTO_MIN_LINKS",
     "ApproxOptions",
     "DecomposeOptions",
     "RoutingComponents",
@@ -78,13 +76,6 @@ BACKEND_NAMES = ("auto", *SCALE_BACKENDS, *BACKEND_ALIASES)
 #: amortizing around here on one core.
 APPROX_AUTO_LINKS = 50_000
 
-#: Auto policy: decompose when the bipartite structure splits at
-#: least this many ways *and* the instance is big enough for the
-#: split to beat one exact solve (measured between 9.2k and 9.7k
-#: candidates on pod-local hierarchies, 2 CPUs).
-DECOMPOSE_AUTO_COMPONENTS = 2
-DECOMPOSE_AUTO_MIN_LINKS = 9_600
-
 
 def choose_backend(
     problem: SamplingProblem, backend: str = "auto"
@@ -93,8 +84,8 @@ def choose_backend(
 
     Mirrors :meth:`RoutingOperator.from_matrix`: an explicit request
     is honored verbatim (an alias resolves to its backend); ``"auto"``
-    picks by structure — approximation for very large candidate sets,
-    decomposition for large separable instances, exact GP otherwise.
+    picks by size — approximation for very large candidate sets, exact
+    GP otherwise.
     """
     if backend != "auto":
         if backend not in BACKEND_NAMES:
@@ -102,15 +93,8 @@ def choose_backend(
                 f"unknown scale backend {backend!r}; know {BACKEND_NAMES}"
             )
         return BACKEND_ALIASES.get(backend, backend)
-    candidates = int(problem.candidate_mask.sum())
-    if candidates >= APPROX_AUTO_LINKS:
+    if int(problem.candidate_mask.sum()) >= APPROX_AUTO_LINKS:
         return "approx"
-    if candidates >= DECOMPOSE_AUTO_MIN_LINKS:
-        if (
-            routing_components(problem).num_components
-            >= DECOMPOSE_AUTO_COMPONENTS
-        ):
-            return "decompose"
     return "exact"
 
 

@@ -28,9 +28,10 @@ documented tolerance (see :data:`TOLERANCES` and
     Component decomposition vs one full solve on a block-diagonal
     instance assembled from the problem (guaranteed ≥ 2 components).
 ``arc_start``
-    A cold solve from the projection-arc start vs a solve from the
-    paper's water-filling start, on enough block-diagonal copies of
-    the problem to reach the arc's candidate threshold.
+    A cold solve from the projection-arc start, finished with
+    reduced-Newton steps, vs the paper's first-order loop from its
+    water-filling start, on enough block-diagonal copies of the
+    problem to reach the arc's candidate threshold.
 
 Comparisons gate on the *objective* (unique at the optimum even when
 the rate vector is degenerate) plus each solution's own KKT
@@ -415,14 +416,15 @@ def check_decompose(problem: SamplingProblem) -> dict:
 
 
 def check_arc_start(problem: SamplingProblem) -> dict:
-    """Projection-arc start vs the paper's start, above the threshold.
+    """Projection arc and Newton finish vs the paper's loop and start.
 
     Tiles ``problem`` into enough disjoint copies (see
     :func:`block_diagonal_problem`) to reach
     :data:`~repro.core.gradient_projection.ARC_MIN_CANDIDATES`, so a
-    cold solve takes the arc start.  The same instance warm-started
-    from the lifted water-filling point — which the warm projection
-    keeps as it is — runs the paper's loop from the paper's start.
+    cold solve takes the arc start and the reduced-Newton finish.  The
+    same instance warm-started from the lifted water-filling point —
+    which the warm projection keeps as it is — runs the paper's
+    first-order loop from the paper's start.
     """
     candidates = max(int(problem.candidate_mask.sum()), 1)
     copies = max(2, -(-ARC_MIN_CANDIDATES // candidates))

@@ -9,13 +9,16 @@ from repro.core import (
     MeanSquaredRelativeAccuracy,
     SamplingProblem,
     SoftMinUtilityObjective,
+    SumUtilityObjective,
     check_kkt,
     initial_feasible_point,
     solve_gradient_projection,
     solve_scipy,
 )
+from repro.core import gradient_projection
 from repro.core.gradient_projection import ARC_MIN_CANDIDATES
 from repro.obs import collecting_metrics
+from repro.stream.controller import ReconfigurationPenaltyObjective
 from repro.topology import hierarchical_routing_problem
 from tests.conftest import make_random_problem
 
@@ -384,3 +387,121 @@ class TestProjectionArcStart:
         assert not solution.diagnostics.converged
         assert "wall-clock limit 0.01s exceeded" in solution.diagnostics.message
         assert aborts == 1
+
+
+@pytest.fixture(scope="module")
+def hier_1k():
+    problem = hierarchical_routing_problem(
+        16, 30, intra_pod_fraction=0.5, seed=3
+    )
+    assert problem.candidate_mask.sum() >= ARC_MIN_CANDIDATES
+    assert problem.candidate_routing_op().backend == "sparse"
+    return problem
+
+
+def _counted_solve(problem, **kwargs):
+    """A solve and the ``solver.gp.*`` counters it emitted."""
+    with collecting_metrics(reset=True) as registry:
+        solution = solve_gradient_projection(problem, **kwargs)
+        counters = registry.snapshot()["counters"]
+    return solution, counters
+
+
+class TestNewtonFinish:
+    """After the arc, cold solves finish with reduced-Newton steps."""
+
+    def test_cold_solve_finishes_in_few_newton_iterations(self, hier_1k):
+        finished, counters = _counted_solve(hier_1k)
+        paper = solve_gradient_projection(
+            hier_1k, warm_start=_paper_start(hier_1k)
+        )
+        assert counters["solver.gp.arc_steps"] > 0
+        assert counters["solver.gp.newton_steps"] > 0
+        assert "solver.gp.newton_fill_fallbacks" not in counters
+        assert finished.diagnostics.iterations <= 30
+        assert finished.diagnostics.kkt is not None
+        assert finished.diagnostics.kkt.satisfied
+        assert paper.diagnostics.kkt.satisfied
+        assert finished.objective_value == pytest.approx(
+            paper.objective_value, rel=1e-9
+        )
+
+    def test_fill_guard_falls_back_to_first_order_for_good(
+        self, hier_1k, monkeypatch
+    ):
+        finished = solve_gradient_projection(hier_1k)
+        monkeypatch.setattr(gradient_projection, "_NEWTON_MAX_FILL", 0.0)
+        guarded, counters = _counted_solve(hier_1k)
+        assert counters["solver.gp.newton_fill_fallbacks"] == 1
+        assert counters["solver.gp.newton_steps"] == 0
+        assert guarded.diagnostics.converged
+        assert guarded.diagnostics.kkt.satisfied
+        assert guarded.diagnostics.iterations > finished.diagnostics.iterations
+        assert guarded.objective_value == pytest.approx(
+            finished.objective_value, rel=1e-9
+        )
+
+    def test_dense_reduced_hessian_is_never_factored(
+        self, hier_1k, monkeypatch
+    ):
+        # Sixteen parallel copies of every link: each OD row couples 16×
+        # more columns, so H holds over 20× the entries of R_F.
+        segmented = SamplingProblem(
+            np.repeat(hier_1k.routing, 16, axis=1),
+            np.repeat(hier_1k.link_loads_pps, 16),
+            hier_1k.theta_packets,
+            hier_1k.utilities,
+            interval_seconds=hier_1k.interval_seconds,
+        )
+
+        def _no_factor():
+            raise AssertionError("factored a reduced Hessian past the guard")
+
+        monkeypatch.setattr(gradient_projection, "_splu", _no_factor)
+        guarded, counters = _counted_solve(segmented)
+        assert counters["solver.gp.arc_steps"] > 0
+        assert counters["solver.gp.newton_fill_fallbacks"] == 1
+        assert counters["solver.gp.newton_steps"] == 0
+        assert guarded.diagnostics.kkt.satisfied
+
+    def test_dense_operator_runs_the_dense_branch(self, hier_1k, monkeypatch):
+        sparse = solve_gradient_projection(hier_1k)
+
+        def _no_sparse_factor(*args):
+            raise AssertionError("the dense operator reached SuperLU")
+
+        monkeypatch.setattr(
+            gradient_projection, "_sparse_reduced_solve", _no_sparse_factor
+        )
+        dense, counters = _counted_solve(
+            hier_1k.with_routing_backend("dense")
+        )
+        assert counters["solver.gp.newton_steps"] > 0
+        assert dense.diagnostics.kkt.satisfied
+        assert dense.objective_value == pytest.approx(
+            sparse.objective_value, rel=1e-9
+        )
+
+    def test_penalized_objective_uses_its_diagonal_shift(self, hier_1k):
+        cand = np.flatnonzero(hier_1k.candidate_mask)
+        start = _paper_start(hier_1k)
+        base = SumUtilityObjective(
+            hier_1k.candidate_routing_op(), hier_1k.utilities
+        )
+
+        def _penalized():
+            return ReconfigurationPenaltyObjective(base, start[cand], 0.1)
+
+        assert _penalized().hessian_diagonal_shift != 0.0
+        finished, counters = _counted_solve(hier_1k, objective=_penalized())
+        first_order = solve_gradient_projection(
+            hier_1k, objective=_penalized(), warm_start=start
+        )
+        assert counters["solver.gp.arc_steps"] > 0
+        assert counters["solver.gp.newton_steps"] > 0
+        report = check_kkt(hier_1k, finished.rates, objective=_penalized())
+        assert report.satisfied
+        assert first_order.diagnostics.kkt.satisfied
+        assert finished.objective_value == pytest.approx(
+            first_order.objective_value, rel=1e-9
+        )

@@ -7,7 +7,6 @@ from repro import SamplingProblem, janet_task
 from repro.obs import collecting_metrics
 from repro.scale import (
     APPROX_AUTO_LINKS,
-    DECOMPOSE_AUTO_MIN_LINKS,
     SCALE_BACKENDS,
     choose_backend,
     solve_scaled,
@@ -33,18 +32,18 @@ class TestChooseBackend:
         assert choose_backend(geant_problem, "auto") == "exact"
 
     # The auto policy keys on *candidate* links (columns some OD row
-    # touches).  Exact GP owns everything below the measured decompose
-    # crossover, pod-local or not.
+    # touches).  Exact GP owns everything below the approximation
+    # threshold, pod-local or not: with its reduced-Newton finish it
+    # beats ``decompose`` on the 10k+ pod-local instances too.
     @pytest.mark.parametrize(
         "pods, leaves, share, od_pairs, candidates, backend",
         [
             (16, 30, 0.5, None, (512, 1_000), "exact"),
-            (40, 60, 1.0, None, (2_048, DECOMPOSE_AUTO_MIN_LINKS), "exact"),
-            (85, 98, 1.0, None,
-             (DECOMPOSE_AUTO_MIN_LINKS, APPROX_AUTO_LINKS), "decompose"),
+            (40, 60, 1.0, None, (2_048, 10_000), "exact"),
+            (85, 98, 1.0, None, (10_000, APPROX_AUTO_LINKS), "exact"),
             (200, 200, 0.5, 120_000, (APPROX_AUTO_LINKS, None), "approx"),
         ],
-        ids=["1k-exact", "40x60-podlocal-exact", "85x98-podlocal-decompose",
+        ids=["1k-exact", "40x60-podlocal-exact", "85x98-podlocal-exact",
              "50k-approx"],
     )
     def test_auto_picks_by_measured_size(
